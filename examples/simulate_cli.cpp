@@ -266,15 +266,20 @@ int main(int argc, char** argv) {
     opt.n = loaded.num_nodes();
   }
 
-  // The scheme's canonical protocol/channel pairing, via the same dispatch
-  // the broadcast() facade uses; CLI channel overrides go on top.
+  // The scheme with the CLI's channel overrides on top. Every trial pairs
+  // it on its own graph, exactly as the broadcast() facade does; pairing it
+  // once here on the requested shape rejects bad flag combinations up front.
   BroadcastOptions scheme_options;
   scheme_options.scheme = *scheme;
   scheme_options.n_estimate = opt.n;
   scheme_options.alpha = opt.alpha;
   scheme_options.failure_prob = opt.failure;
   scheme_options.memory = opt.memory;
+  scheme_options.num_choices = opt.choices;
   scheme_options.quasirandom = opt.quasirandom;
+  scheme_options.trials = opt.trials;
+  scheme_options.seed = opt.seed;
+  scheme_options.runner = opt.runner;
 
   SchemeShape shape;
   shape.n = opt.n;
@@ -289,7 +294,6 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   }
-  if (opt.choices > 0) channel.num_choices = opt.choices;
   if (channel.quasirandom && channel.memory > 0) {
     std::cerr << "error: --quasirandom cannot be combined with a positive "
                  "memory window (use --memory 0 with seq)\n";
@@ -304,26 +308,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  TrialConfig config;
-  config.trials = opt.trials;
-  config.seed = opt.seed;
-  config.channel = channel;
-  config.runner = opt.runner;
-
-  const ProtocolFactory protocol_factory =
-      [&scheme_options](const Graph& graph) {
-        return make_scheme(graph, scheme_options).protocol;
-      };
-
   // The observed overload returns a byte-identical TrialOutcome (observers
   // are read-only), so both branches print the very same summary table.
   TrialOutcome out;
   std::vector<MetricStack> stacks;
   if (selected_metrics.empty()) {
-    out = run_trials(graph_factory, protocol_factory, config);
+    out = broadcast_trials(graph_factory, scheme_options);
   } else {
-    ObservedOutcome<MetricStack> observed = run_trials(
-        graph_factory, protocol_factory, config,
+    ObservedOutcome<MetricStack> observed = broadcast_trials(
+        graph_factory, scheme_options,
         [](const Graph&) { return MetricStack{}; });
     out = std::move(observed.outcome);
     stacks = std::move(observed.observers);

@@ -17,13 +17,13 @@
 /// \file scheme_dispatch.hpp
 /// Compile-time scheme dispatch: the one switch that maps a BroadcastScheme
 /// value to its concrete protocol *type* and canonical ChannelConfig, then
-/// hands both to a generic visitor. broadcast(), broadcast_trials() and
-/// make_scheme() all route through here, so the facade and the parallel
-/// runner drive PhoneCallEngine::run() with the static protocol type — the
-/// round loop inlines the protocol callbacks instead of paying a virtual
-/// call per node per round. make_scheme() wraps the visited protocol in a
-/// ProtocolAdapter for type-erased users; that adapter is the only place
-/// the virtual layer survives.
+/// hands both to a generic visitor. broadcast() and every
+/// broadcast_trials() overload (fixed graph or a graph per trial, bare or
+/// observed) route through here, so every library entry point drives
+/// PhoneCallEngine::run() with the static protocol type — the round loop
+/// inlines the protocol callbacks instead of paying a virtual call per node
+/// per round. make_scheme() visits the same switch and wraps the protocol
+/// in a ProtocolAdapter, for callers who want a type-erased SchemeParts.
 
 namespace rrb {
 

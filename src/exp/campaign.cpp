@@ -159,39 +159,28 @@ void set_static_columns(JsonObject& record, const TrialOutcome& out) {
       .set("pull_tx_mean", out.pull_tx.mean);
 }
 
-/// Static-graph cell: the same run_trials path the bench harness has
-/// always used — graph regenerated per trial, protocol from the canonical
-/// scheme pairing, trials reduced in trial order. With metrics selected,
-/// the observed overload runs instead: observers are read-only, so every
-/// base column keeps its exact metric-less value and the digests land in
-/// appended columns (pinned in tests/test_campaign.cpp).
+/// Static-graph cell: graph regenerated per trial, the scheme statically
+/// dispatched on each trial's graph, trials reduced in trial order. With
+/// metrics selected, the observed overload runs instead: observers are
+/// read-only, so every base column keeps its exact metric-less value and
+/// the digests land in appended columns (pinned in tests/test_campaign.cpp).
 void run_static_cell(const CampaignSpec& spec, const CampaignCell& cell,
                      const RunnerConfig& trial_runner, JsonObject& record) {
-  const BroadcastOptions options = options_for(spec, cell);
-
-  TrialConfig config;
-  config.trials = spec.trials;
-  config.seed = cell.seed;
-  config.channel = with_scheme(
-      shape_for(cell), options,
-      [](auto, const ChannelConfig& channel) { return channel; });
-  config.limits.max_rounds = spec.max_rounds;
-  config.random_source = spec.random_source;
-  config.runner = trial_runner;
-
+  BroadcastOptions options = options_for(spec, cell);
+  options.seed = cell.seed;
+  options.trials = spec.trials;
+  options.runner = trial_runner;
+  const NodeId source = spec.random_source ? kNoNode : 0;
   const GraphFactory graph_factory = graph_factory_for(spec, cell);
-  const ProtocolFactory protocol_factory = [options](const Graph& graph) {
-    return make_scheme(graph, options).protocol;
-  };
 
   if (spec.metrics.empty()) {
-    set_static_columns(record, run_trials(graph_factory, protocol_factory,
-                                          config));
+    set_static_columns(record,
+                       broadcast_trials(graph_factory, options, source));
     return;
   }
-  const ObservedOutcome<MetricStack> observed = run_trials(
-      graph_factory, protocol_factory, config,
-      [](const Graph&) { return MetricStack{}; });
+  const ObservedOutcome<MetricStack> observed = broadcast_trials(
+      graph_factory, options, [](const Graph&) { return MetricStack{}; },
+      source);
   set_static_columns(record, observed.outcome);
   set_metric_columns(record, spec, observed.observers);
 }

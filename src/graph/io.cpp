@@ -1,9 +1,12 @@
 #include "rrb/graph/io.hpp"
 
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 
 #include "rrb/common/check.hpp"
 
@@ -35,10 +38,18 @@ Graph read_edge_list(std::istream& is) {
       if (first != "n")
         throw std::runtime_error("edge list: expected 'n <count>' header at "
                                  "line " + std::to_string(line_no));
-      std::uint64_t count = 0;
-      if (!(ls >> count))
+      // Parsed straight into NodeId: from_chars takes no sign and reports
+      // overflow, where istream would wrap "-1" to 2^64 - 1 and a cast
+      // would truncate a count past NodeId's range.
+      std::string count;
+      ls >> count;
+      const char* count_end = count.data() + count.size();
+      const auto [ptr, ec] = std::from_chars(count.data(), count_end, n);
+      if (ec == std::errc::result_out_of_range)
+        throw std::runtime_error("edge list: node count " + count +
+                                 " does not fit NodeId");
+      if (ec != std::errc{} || ptr != count_end)
         throw std::runtime_error("edge list: malformed node count");
-      n = static_cast<NodeId>(count);
       have_header = true;
       std::string rest;
       if (ls >> rest)

@@ -9,7 +9,6 @@
 
 #include "rrb/common/check.hpp"
 #include "rrb/common/types.hpp"
-#include "rrb/phonecall/channel_sampler.hpp"
 #include "rrb/phonecall/engine.hpp"
 #include "rrb/phonecall/protocol.hpp"
 #include "rrb/phonecall/result.hpp"
@@ -17,23 +16,30 @@
 #include "rrb/telemetry/telemetry.hpp"
 
 /// \file batched_engine.hpp
-/// Trial-batched execution: advance B independent trials ("lanes") in
-/// lockstep over ONE shared, immutable topology.
+/// Trial-batched execution: advance B independent trials ("lanes") over ONE
+/// shared, immutable topology.
 ///
 /// PhoneCallEngine walks the topology's CSR once per trial; a trial sweep
 /// over a fixed graph therefore re-streams the same adjacency arrays from
-/// memory once per trial and is latency-bound. BatchedPhoneCallEngine
-/// restructures the sweep as structure-of-arrays lockstep: per round, one
-/// sequential scan over the nodes serves every lane — the degree and
-/// neighbour lookups for node v are fetched once and stay cache-hot across
-/// all B lanes, and the per-lane round state (informed stamps, actions) is
-/// laid out node-major so the lane loop for a node touches adjacent memory.
-/// The scan prefetches like any linear walk, which is what makes large
-/// trial counts memory-bandwidth-bound instead of latency-bound.
+/// memory once per trial. BatchedPhoneCallEngine::run() picks the fastest
+/// kernel that models the lane group:
+///  - the classical kernel (state-oblivious protocols, one reliable call per
+///    round): per-lane transposed informed bitmaps small enough for L1;
+///  - the bitmask kernel (hook-free protocols and observers, uniform
+///    sampling, a fully-alive topology, <= 64 lanes): per-node lane masks,
+///    one node scan per round serving every lane;
+///  - otherwise the sequential fallback: the lanes run one at a time on
+///    PhoneCallEngine, each on its own Rng. Hooked protocols, observers with
+///    hooks, quasirandom cursors, memory rings and lane groups wider than a
+///    mask word all land here; no lockstep layout for them has been measured
+///    to beat the sequential engine.
+/// Each kernel body opens one telemetry span (batched:classic,
+/// batched:bitmask, batched:sequential) with the lane count and n as args,
+/// so a trace shows which rung ran.
 ///
 /// Determinism: batching is scheduling, never semantics. Lane i runs on its
 /// own Rng — the caller derives it as Rng(seed).fork(i) per the seeding
-/// contract — and the lockstep loop makes exactly the draws the sequential
+/// contract — and every kernel makes exactly the draws the sequential
 /// engine makes, in the same per-lane order (rounds ascending, nodes
 /// ascending within a round, channels in choice order within a node).
 /// Because no lane ever observes another lane's stream, interleaving the
@@ -48,13 +54,6 @@
 /// i.i.d. ChannelConfig::failure_prob channel failures are supported and
 /// drawn per lane exactly as the sequential engine draws them. Anything
 /// needing hooks or failure models runs on PhoneCallEngine.
-///
-/// Protocols are passed as a span of per-lane instances of one static type
-/// (the scheme dispatch hands every lane the same concrete protocol), and
-/// observers as a span of per-lane observers; both hook vocabularies are
-/// `requires`-detected exactly as in PhoneCallEngine::run(), so a bare
-/// batched run compiles to the same inner-loop work as a bare sequential
-/// run, just lane-interleaved.
 
 namespace rrb {
 
@@ -91,9 +90,8 @@ inline constexpr bool kStateObliviousAction = requires {
 };
 
 /// True when the observer type implements none of the observer hooks the
-/// engines fire (the bare NoMetrics observer, notably). With nothing to
-/// notify, the lockstep kernel never needs to materialise a per-lane
-/// node-order view of the informed stamps.
+/// engines fire (the bare NoMetrics observer, notably). The lockstep
+/// kernels fire no observer hooks, so they take only such observers.
 template <typename O>
 inline constexpr bool kLaneHookFreeObserver =
     !requires(O& o, NodeId n, std::span<const NodeId> s) {
@@ -126,10 +124,11 @@ class BatchedPhoneCallEngine {
                 "quasirandom and memory are mutually exclusive");
   }
 
-  /// Run lane b = 0..B-1 from sources[b] with *protocols[b] on rngs[b],
-  /// all lanes in lockstep, until every lane has terminated (per-lane
-  /// protocol termination / oracle completion) or limits.max_rounds
-  /// elapse. Returns the per-lane RunResults in lane order.
+  /// Run lane b = 0..B-1 from sources[b] with *protocols[b] on rngs[b]
+  /// until every lane has terminated (per-lane protocol termination /
+  /// oracle completion) or limits.max_rounds elapse. Returns the per-lane
+  /// RunResults in lane order, each bit-identical to a PhoneCallEngine run
+  /// of that lane.
   template <ProtocolImpl ProtocolT>
   std::vector<RunResult> run(std::span<ProtocolT* const> protocols,
                              std::span<const NodeId> sources,
@@ -140,7 +139,9 @@ class BatchedPhoneCallEngine {
   }
 
   /// Instrumented lanes: observers[b] receives lane b's hooks with the
-  /// exact arguments the sequential engine would fire for that trial.
+  /// exact arguments the sequential engine would fire for that trial. A
+  /// lane group no lockstep kernel accepts (see the file comment) runs
+  /// lane by lane on PhoneCallEngine.
   template <ProtocolImpl ProtocolT, typename ObserverT>
   std::vector<RunResult> run(std::span<ProtocolT* const> protocols,
                              std::span<const NodeId> sources,
@@ -165,8 +166,8 @@ class BatchedPhoneCallEngine {
 
   /// The lockstep fast path: hook-free protocol/observer lanes, uniform
   /// sampling (no quasirandom cursors, no memory rings), <= 64 lanes, and a
-  /// fully-alive topology. Draw-for-draw identical to the general path —
-  /// the per-node sample loop is ChannelSampler::choose's
+  /// fully-alive topology. Draw-for-draw identical to the sequential
+  /// engine — the per-node sample loop is ChannelSampler::choose's
   /// sample_distinct_small branch inlined verbatim (any drift breaks the
   /// batched-vs-sequential bit-identity suite) — it only replaces per-lane
   /// control flow with the PullInformed/push-word bit algebra above.
@@ -189,28 +190,16 @@ class BatchedPhoneCallEngine {
       std::span<ProtocolT* const> protocols, std::span<const NodeId> sources,
       std::span<Rng> rngs, const RunLimits& limits);
 
-  /// Lane b's informed stamps gathered into node order (the layout the
-  /// observer span contract promises). Only materialised when an observer
-  /// actually implements on_round_end/on_run_end.
-  void gather_lane(std::size_t lanes, std::size_t b, NodeId n) {
-    lane_view_.resize(n);
-    for (NodeId v = 0; v < n; ++v)
-      lane_view_[v] = stamp_[static_cast<std::size_t>(v) * lanes + b];
-  }
-
   const TopologyT* topo_;
   ChannelConfig config_;
 
-  // SoA round state, node-major: stamp_[v * B + b] is lane b's informed
-  // round for node v (kNever = uninformed), likewise action_. Node-major
-  // keeps the lane loop for one node on adjacent memory and lets the random
-  // partner access (index w) land every lane's entry on the same cache
-  // line(s).
+  // Bitmask kernel: stamp_[v * B + b] is lane b's informed round for node v
+  // (kNever = uninformed), node-major so the random partner access (index
+  // w) lands every lane's entry on the same cache line(s).
   std::vector<Round> stamp_;
-  std::vector<Action> action_;
 
-  std::vector<std::uint64_t> push_words_;  // lockstep kernel only
-  std::vector<PullInformed> pi_;           // lockstep kernel only
+  std::vector<std::uint64_t> push_words_;  // bitmask kernel only
+  std::vector<PullInformed> pi_;           // bitmask kernel only
 
   // Classic kernel only: concatenated per-lane informed bitmaps
   // (live_bits_[b * W + v/64] bit v%64) and the round-start snapshot of the
@@ -218,17 +207,12 @@ class BatchedPhoneCallEngine {
   std::vector<std::uint64_t> live_bits_;
   std::vector<std::uint64_t> start_bits_;
 
-  std::vector<ChannelSampler> samplers_;  // per lane (cursors, memory rings)
   std::vector<Count> informed_alive_;     // per lane, incremental
   std::vector<Count> informed_;           // per lane, total ever informed
   std::vector<Count> newly_count_;        // per lane, reset each round
   std::vector<std::size_t> active_;       // lanes still running, ascending
 
-  // Scratch reused across rounds/lanes (same shape as the sequential
-  // engine's flat buffers).
-  std::vector<NodeId> choice_buf_;
-  std::vector<NodeId> partner_buf_;
-  std::vector<Round> lane_view_;
+  std::vector<NodeId> choice_buf_;  // per-node callee draws, reused
 };
 
 template <Topology TopologyT>
@@ -246,8 +230,8 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run(
               "per-lane spans must all have one entry per lane");
 
   // Hook-free lanes over a fully-alive topology with the plain uniform
-  // sampler run on the lockstep kernel (same draws, bitmask state). The
-  // conditions are exactly the features the kernel does not model: hooks,
+  // sampler run on the lockstep kernels (same draws, bitmask state). The
+  // conditions are exactly the features the kernels do not model: hooks,
   // quasirandom cursors, memory rings, dead nodes, and more lanes than a
   // mask word holds.
   if constexpr (detail::kLaneHookFreeProtocol<ProtocolT> &&
@@ -257,232 +241,20 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run(
       return run_lockstep_uniform(protocols, sources, rngs, limits);
   }
 
-  // Kernel-ladder telemetry: one span per kernel body (general / bitmask /
-  // classic), so a trace shows which rung actually ran and how many lanes
-  // were active. Wall-clock only — never affects draws or outputs.
-  telemetry::Span kernel_span("batched", "batched:general");
+  // Sequential fallback: each lane is one PhoneCallEngine run on its own
+  // stream — the reference every kernel is pinned against.
+  telemetry::Span kernel_span("batched", "batched:sequential");
   if (kernel_span.active())
     kernel_span.set_args("{\"lanes\":" + std::to_string(lanes) +
                          ",\"n\":" + std::to_string(n) + "}");
-
-  stamp_.assign(static_cast<std::size_t>(n) * lanes, kNever);
-  action_.assign(static_cast<std::size_t>(n) * lanes, Action::kNone);
-  samplers_.assign(lanes, ChannelSampler{});
-  informed_.assign(lanes, 0);
-  informed_alive_.assign(lanes, 0);
-  newly_count_.assign(lanes, 0);
-  active_.resize(lanes);
-
-  std::vector<RunResult> results(lanes);
-  std::vector<RoundStats> round_stats(lanes);
-
+  std::vector<RunResult> results;
+  results.reserve(lanes);
   for (std::size_t b = 0; b < lanes; ++b) {
-    active_[b] = b;
-    samplers_[b].prepare(config_, n);
     RRB_REQUIRE(protocols[b] != nullptr, "null protocol lane");
-    ProtocolT& proto = *protocols[b];
-    if constexpr (requires { proto.reset(n); }) proto.reset(n);
-    const NodeId s = sources[b];
-    RRB_REQUIRE(s < n, "source out of range");
-    RRB_REQUIRE(topo_->is_alive(s), "source must be alive");
-    stamp_[static_cast<std::size_t>(s) * lanes + b] = 0;
-    informed_[b] = 1;
-    informed_alive_[b] = 1;
-    results[b].n = n;
-    if constexpr (requires { observers[b].on_run_begin(n, sources); })
-      observers[b].on_run_begin(n, sources.subspan(b, 1));
+    PhoneCallEngine<const TopologyT> engine(*topo_, config_, rngs[b]);
+    results.push_back(
+        engine.run(*protocols[b], sources[b], limits, observers[b]));
   }
-
-  choice_buf_.assign(static_cast<std::size_t>(config_.num_choices), 0);
-  partner_buf_.assign(static_cast<std::size_t>(config_.num_choices), 0);
-  const std::span<NodeId> edge_choice(choice_buf_);
-  const std::span<NodeId> partners(partner_buf_);
-
-  const bool has_failure_prob = config_.failure_prob > 0.0;
-  const bool has_memory = config_.memory > 0;
-
-  // Populated on deactivation; alive_at_end etc. are loop-invariant on an
-  // immutable topology, so "when the lane stopped" and "when run() returns"
-  // see the same values the sequential engine records.
-  const auto finalize = [&](std::size_t b, Round rounds) {
-    RunResult& result = results[b];
-    result.rounds = rounds;
-    result.alive_at_end = topo_->num_alive();
-    Count final_informed = 0;
-    for (NodeId v = 0; v < n; ++v)
-      if (topo_->is_alive(v) &&
-          stamp_[static_cast<std::size_t>(v) * lanes + b] != kNever)
-        ++final_informed;
-    result.final_informed = final_informed;
-    result.all_informed =
-        result.alive_at_end > 0 && final_informed >= result.alive_at_end;
-    if constexpr (requires(std::span<const Round> ia) {
-                    observers[b].on_run_end(results[b], ia);
-                  }) {
-      gather_lane(lanes, b, n);
-      observers[b].on_run_end(
-          result, std::span<const Round>(lane_view_.data(), n));
-    }
-  };
-
-  Round t = 0;
-  while (!active_.empty() && t < limits.max_rounds) {
-    ++t;
-    for (const std::size_t b : active_) {
-      ProtocolT& proto = *protocols[b];
-      if constexpr (requires { proto.on_round_start(t); })
-        proto.on_round_start(t);
-      if constexpr (requires { observers[b].on_round_begin(t); })
-        observers[b].on_round_begin(t);
-      round_stats[b] = RoundStats{};
-      round_stats[b].t = t;
-      newly_count_[b] = 0;
-    }
-
-    // Phase A: per-lane actions for nodes informed before this round. One
-    // node scan serves every lane; the stamp/action entries for node v sit
-    // on the same cache line(s) across lanes.
-    for (NodeId v = 0; v < n; ++v) {
-      const bool alive = topo_->is_alive(v);
-      const std::size_t base = static_cast<std::size_t>(v) * lanes;
-      for (const std::size_t b : active_) {
-        const Round at = stamp_[base + b];
-        if (!alive || at == kNever) {
-          action_[base + b] = Action::kNone;
-          continue;
-        }
-        NodeLocalState state;
-        state.informed_at = at;
-        state.is_source = at == 0;
-        action_[base + b] = protocols[b]->action(v, state, t);
-        if (action_[base + b] != Action::kNone)
-          ++round_stats[b].transmitting_nodes;
-      }
-    }
-
-    // Phase B: every alive node opens channels, once per lane, drawing from
-    // that lane's Rng only — per lane this is exactly the sequential
-    // engine's draw sequence for the node.
-    for (NodeId v = 0; v < n; ++v) {
-      if (!topo_->is_alive(v)) continue;
-      const std::size_t vbase = static_cast<std::size_t>(v) * lanes;
-      for (const std::size_t b : active_) {
-        Rng& rng = rngs[b];
-        RoundStats& round = round_stats[b];
-        const std::size_t k =
-            samplers_[b].choose(*topo_, rng, v, edge_choice);
-        for (std::size_t i = 0; i < k; ++i) {
-          const NodeId edge_idx = edge_choice[i];
-          const NodeId w = detail::topo_neighbor(*topo_, v, edge_idx);
-          // Recorded before the failure check — failed channels enter the
-          // memory ring, matching PhoneCallEngine (see the note there).
-          partners[i] = w;
-          ++round.channels_opened;
-          if (has_failure_prob && rng.bernoulli(config_.failure_prob)) {
-            ++round.channels_failed;
-            continue;
-          }
-          if (!topo_->is_alive(w)) {
-            ++round.channels_failed;  // stale link
-            continue;
-          }
-          const bool push_here = does_push(action_[vbase + b]);
-          const bool pull_here =
-              does_pull(action_[static_cast<std::size_t>(w) * lanes + b]);
-          if (!push_here && !pull_here) continue;
-
-          auto deliver = [&](NodeId to, NodeId from, bool is_push) {
-            ProtocolT& proto = *protocols[b];
-            MessageMeta meta;
-            if constexpr (requires { proto.stamp(from, t); })
-              meta = proto.stamp(from, t);
-            if (is_push)
-              ++round.push_tx;
-            else
-              ++round.pull_tx;
-            const std::size_t slot =
-                static_cast<std::size_t>(to) * lanes + b;
-            const bool first = stamp_[slot] == kNever;
-            if constexpr (requires { proto.on_receive(to, meta, t, first); })
-              proto.on_receive(to, meta, t, first);
-            if (first) {
-              stamp_[slot] = t;
-              ++informed_alive_[b];
-              ++newly_count_[b];
-            }
-            if constexpr (requires(const TransmissionEvent& event) {
-                            observers[b].on_transmission(event);
-                          })
-              observers[b].on_transmission(TransmissionEvent{
-                  .t = t,
-                  .caller = v,
-                  .edge_index = edge_idx,
-                  .from = from,
-                  .to = to,
-                  .is_push = is_push,
-                  .first_time = first,
-              });
-            if (first)
-              if constexpr (requires {
-                              observers[b].on_node_informed(to, t);
-                            })
-                observers[b].on_node_informed(to, t);
-          };
-          if (push_here) deliver(w, v, /*is_push=*/true);
-          if (pull_here) deliver(v, w, /*is_push=*/false);
-        }
-        if (has_memory)
-          samplers_[b].remember_partners(
-              v, std::span<const NodeId>(partners.data(), k));
-      }
-    }
-
-    // Round end: per-lane bookkeeping and termination, compacting the
-    // active list in place (ascending lane order is preserved).
-    std::size_t keep = 0;
-    for (std::size_t bi = 0; bi < active_.size(); ++bi) {
-      const std::size_t b = active_[bi];
-      RoundStats& round = round_stats[b];
-      RunResult& result = results[b];
-      informed_[b] += newly_count_[b];
-      round.newly_informed = newly_count_[b];
-      round.informed = informed_[b];
-      result.push_tx += round.push_tx;
-      result.pull_tx += round.pull_tx;
-      result.channels_opened += round.channels_opened;
-      result.channels_failed += round.channels_failed;
-      if (limits.record_rounds) result.per_round.push_back(round);
-
-      if constexpr (requires(std::span<const Round> ia) {
-                      observers[b].on_round_end(round, ia);
-                    }) {
-        gather_lane(lanes, b, n);
-        observers[b].on_round_end(
-            round, std::span<const Round>(lane_view_.data(), n));
-      }
-
-      const Count alive = topo_->num_alive();
-      const Count informed_alive = informed_alive_[b];
-      if (result.completion_round == kNever && alive > 0 &&
-          informed_alive >= alive)
-        result.completion_round = t;
-
-      const bool proto_done = protocols[b]->finished(t, informed_alive, alive);
-      const bool oracle_done =
-          limits.stop_when_all_informed && informed_alive >= alive;
-      if (proto_done || oracle_done)
-        finalize(b, t);
-      else
-        active_[keep++] = b;
-    }
-    active_.resize(keep);
-  }
-
-  // Lanes still running when max_rounds elapsed stop exactly like the
-  // sequential engine: rounds = max_rounds, completion wherever it got.
-  for (const std::size_t b : active_) finalize(b, t);
-  active_.clear();
-
   return results;
 }
 
@@ -555,15 +327,15 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_lockstep_uniform(
     channels_per_round += static_cast<Count>(
         std::min<std::size_t>(k, detail::topo_degree(*topo_, v)));
 
-  // The live lanes as a compact ascending index list (mirrors the general
-  // path's active_): the draw loop walks it without the serial ctz chain a
-  // bitmask iteration would cost per lane.
+  // The live lanes as a compact ascending index list: the draw loop walks
+  // it without the serial ctz chain a bitmask iteration would cost per
+  // lane.
   active_.resize(lanes);
   for (std::size_t b = 0; b < lanes; ++b) active_[b] = b;
 
-  // informed_alive_[b] is maintained on exactly the increments the general
-  // path makes, and with every node alive it equals the stamp scan the
-  // general finalize performs — so the result fields come out identical.
+  // informed_alive_[b] is maintained on exactly the increments the
+  // sequential engine makes, and with every node alive it equals the stamp
+  // scan its run end performs — so the result fields come out identical.
   const auto finalize = [&](std::size_t b, Round rounds) {
     RunResult& result = results[b];
     result.rounds = rounds;
@@ -756,8 +528,8 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_lockstep_uniform(
       }
     }
 
-    // Round end: identical bookkeeping and termination to the general path,
-    // with the active list kept as mask + index list in tandem.
+    // Round end: identical bookkeeping and termination to the sequential
+    // engine, with the active list kept as mask + index list in tandem.
     std::uint64_t next_live = live;
     std::size_t keep = 0;
     for (std::size_t bi = 0; bi < active_.size(); ++bi) {
@@ -946,7 +718,8 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_lockstep_classic(
       }
     }
 
-    // Round end: identical bookkeeping and termination to the other paths.
+    // Round end: identical bookkeeping and termination to the sequential
+    // engine.
     std::uint64_t next_live = live;
     std::size_t keep = 0;
     for (std::size_t bi = 0; bi < active_.size(); ++bi) {

@@ -20,16 +20,16 @@
 /// only on the time the node received the message — corresponds to
 /// implementing action() as a pure function of (informed_at, t).
 ///
-/// Dispatch comes in two layers:
-///  - the ProtocolImpl *concept*: any class with the non-virtual interface
-///    below. The engine's run() is a template over it, so concrete
-///    protocols (PushProtocol, FourChoiceBroadcast, ...) are dispatched at
-///    compile time and their per-node action() calls inline into the round
-///    loop — the hot path pays no virtual calls;
-///  - the BroadcastProtocol *virtual base* plus ProtocolAdapter<P>: the
-///    type-erased layer for factories, containers and run-time protocol
-///    selection (ProtocolFactory, SchemeParts). BroadcastProtocol itself
-///    satisfies ProtocolImpl, so the same engine template serves both.
+/// Dispatch is static: the engine's run() is a template over the
+/// ProtocolImpl *concept* (any class with the non-virtual interface below),
+/// so concrete protocols (PushProtocol, FourChoiceBroadcast, ...) have their
+/// per-node action() calls inlined into the round loop. Every library entry
+/// point reaches a concrete type this way, through with_scheme()
+/// (rrb/core/scheme_dispatch.hpp). The BroadcastProtocol *virtual base*
+/// plus ProtocolAdapter<P> is a type-erased convenience for callers who
+/// select protocols at run time themselves (ProtocolFactory, SchemeParts);
+/// BroadcastProtocol satisfies ProtocolImpl, so the same engine template
+/// serves it at one virtual hop per callback.
 
 namespace rrb {
 

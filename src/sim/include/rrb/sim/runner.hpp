@@ -15,9 +15,8 @@
 ///
 ///   1. all randomness of trial i is drawn from Rng(seed).fork(i), so no
 ///      trial observes any other trial's draws;
-///   2. each trial writes only into its own slot (indexed by trial or by
-///      chunk), and the slots are reduced sequentially in trial order
-///      after the pool has drained.
+///   2. each trial writes only into its own slot, and the slots are
+///      reduced sequentially in trial order after the pool has drained.
 ///
 /// Under those two rules the output is bit-identical for every
 /// RunnerConfig — threads = 1 vs 8, chunked vs unchunked — which is what
@@ -38,8 +37,8 @@ class ParallelRunner {
 
   /// Trials claimed per scheduling task: config.chunk when positive, else
   /// a bounded default of ceil(trials / (4 · resolve_threads())) — about
-  /// four chunks per worker, so chunk-indexed partial-reduction slots stay
-  /// O(threads) however many trials there are.
+  /// four chunks per worker, so per-chunk state stays O(threads) however
+  /// many trials there are.
   [[nodiscard]] int resolved_chunk(int trials) const;
 
   /// Number of contiguous chunks [begin, end) that cover [0, trials).

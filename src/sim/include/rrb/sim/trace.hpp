@@ -22,8 +22,9 @@
 /// tests/test_metrics.cpp pins the traced numbers against values captured
 /// from the pre-observer engine path.
 ///
-/// Trials run on the deterministic parallel runner (rrb/sim/runner.hpp):
-/// each trial records its own per-round trace from Rng(seed).fork(trial),
+/// Trials run on the trial executor of rrb/sim/trial.hpp, the same one
+/// run_trials uses: each trial records its own per-round trace from
+/// Rng(seed).fork(trial) (graph, then a uniform source, then the rounds),
 /// and the traces are averaged in trial order afterwards, so the result is
 /// bit-identical for any RunnerConfig.
 

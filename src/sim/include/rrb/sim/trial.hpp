@@ -1,8 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -21,14 +23,23 @@
 #include "rrb/sim/runner.hpp"
 
 /// \file trial.hpp
-/// Repeated-trial experiment driver: regenerates the random graph per trial
-/// (matching the paper's "random graph, random algorithm" probability
-/// space), runs a protocol from a random source, and aggregates.
+/// Repeated-trial experiment driver: runs a protocol from a random source,
+/// trial after trial, and aggregates. The graph is either regenerated per
+/// trial (the paper's "random graph, random algorithm" probability space)
+/// or fixed for the whole sweep ("random algorithm" only).
 ///
-/// Trials execute on the deterministic parallel runner (rrb/sim/runner.hpp):
-/// trial i draws every random bit from Rng(seed).fork(i) and results are
-/// reduced in trial order, so the outcome is bit-identical for any
-/// RunnerConfig — the sequential path is just threads = 1.
+/// Every overload below is the one executor, detail::execute_trials, with
+/// a different graph source (a fixed Graph or a GraphFactory), protocol
+/// source (a scheme through with_scheme, or a ProtocolFactory) and observer
+/// factory (detail::NoMetrics for the bare overloads). Trials execute on
+/// the deterministic parallel runner (rrb/sim/runner.hpp): trial i draws
+/// every random bit from Rng(seed).fork(i), writes only its own slot, and
+/// the slots are reduced in trial order by detail::reduce_runs, so the
+/// outcome is bit-identical for any RunnerConfig.
+///
+/// Only the fixed-graph overloads honour RunnerConfig::batch: lockstep
+/// lanes need one shared topology, so a per-trial graph runs its trials one
+/// at a time whatever batch says.
 ///
 /// Every driver has an observer-aware overload: pass a factory building a
 /// fresh MetricObserver per trial (rrb/metrics/observer.hpp) and get the
@@ -76,29 +87,35 @@ struct TrialOutcome {
 };
 
 /// Run `config.trials` independent trials, regenerating the random graph
-/// per trial. Rebuilding the topology every trial is what the paper's
-/// probability space asks for, and it is also why this overload ignores
-/// config.runner.batch — lockstep lanes need one shared topology.
+/// per trial: trial i draws its graph, then its source (uniform when
+/// config.random_source, else node 0), then the engine's round draws, all
+/// from Rng(config.seed).fork(i). Ignores config.runner.batch.
 [[nodiscard]] TrialOutcome run_trials(const GraphFactory& graph_factory,
                                       const ProtocolFactory& protocol_factory,
                                       const TrialConfig& config);
 
 /// Fixed-graph trial sweep: every trial runs a fresh protocol instance on
-/// the same immutable graph ("random algorithm" randomness only). Trial i
-/// draws from Rng(config.seed).fork(i): its source first (uniform when
-/// config.random_source, else node 0), then the engine's round draws.
-/// This is the overload config.runner.batch accelerates — batch >= 1
-/// advances that many trials in lockstep on BatchedPhoneCallEngine,
+/// the same immutable graph. Trial i draws its source, then the engine's
+/// round draws, from Rng(config.seed).fork(i). config.runner.batch >= 1
+/// advances that many trials at a time on BatchedPhoneCallEngine,
 /// bit-identically to batch = 0 (pinned by tests/test_batched_engine.cpp).
 [[nodiscard]] TrialOutcome run_trials(const Graph& graph,
                                       const ProtocolFactory& protocol_factory,
                                       const TrialConfig& config);
 
 /// Repeat a broadcast() scheme options.trials times on a fixed graph,
-/// scheduled by options.runner. Trial i runs a fresh protocol instance
-/// seeded from (options.seed, i); `source` fixes the originator, or pass
-/// kNoNode to draw a fresh uniform source per trial.
+/// scheduled by options.runner (batch included). Trial i runs a fresh
+/// protocol instance seeded from (options.seed, i); `source` fixes the
+/// originator, or pass kNoNode to draw a fresh uniform source per trial.
 [[nodiscard]] TrialOutcome broadcast_trials(const Graph& graph,
+                                            const BroadcastOptions& options,
+                                            NodeId source = kNoNode);
+
+/// Repeat a broadcast() scheme options.trials times, regenerating the graph
+/// per trial: trial i builds its graph from Rng(options.seed).fork(i) and
+/// runs the scheme as broadcast() would pair it on that graph. Draws, in
+/// order: graph, source (when kNoNode), rounds. Ignores options.runner.batch.
+[[nodiscard]] TrialOutcome broadcast_trials(const GraphFactory& graph_factory,
                                             const BroadcastOptions& options,
                                             NodeId source = kNoNode);
 
@@ -113,46 +130,163 @@ struct ObservedOutcome {
 
 namespace detail {
 
-/// Reduce per-trial RunResults, already in trial order, into a
-/// TrialOutcome. The same reduction the bare drivers apply chunk-wise —
-/// samples enter each Summary in ascending trial order either way, so both
-/// paths produce byte-identical outcomes.
+/// The settings every trial of a sweep shares. The graph and protocol
+/// sources are the executor's other inputs.
+struct TrialPlan {
+  int trials = 1;
+  std::uint64_t seed = 0;
+  RunLimits limits;
+  NodeId source = kNoNode;  ///< fixed originator; kNoNode = uniform draw
+  RunnerConfig runner;
+};
+
+[[nodiscard]] TrialPlan plan_for(const TrialConfig& config);
+[[nodiscard]] TrialPlan plan_for(const BroadcastOptions& options,
+                                 NodeId source);
+
+/// Reduce per-trial RunResults, in trial order, into a TrialOutcome: the
+/// one reduction every driver applies, so each Summary sees its samples in
+/// ascending trial order whatever the schedule was.
 [[nodiscard]] TrialOutcome reduce_runs(std::vector<RunResult>&& runs);
 
-/// Advance trials [first_trial, first_trial + lanes) of a fixed-graph
-/// sweep in lockstep on BatchedPhoneCallEngine. Lane b is trial
-/// first_trial + b: it seeds Rng(seed).fork(trial) and makes the exact
-/// draws the sequential drivers make on that stream — the source first
-/// (when fixed_source == kNoNode; a fixed source draws nothing), then the
-/// round loop — so out[b] is bit-identical to the sequential trial.
-/// protocols/observers/out carry one entry per lane; protocol instances
-/// must be freshly built for this group.
-template <ProtocolImpl ProtocolT, typename ObserverT>
-void run_batched_lanes(const Graph& graph, const ChannelConfig& channel,
-                       const RunLimits& limits,
-                       std::span<ProtocolT* const> protocols,
-                       std::uint64_t seed, int first_trial,
-                       NodeId fixed_source, std::span<ObserverT> observers,
-                       std::span<RunResult> out) {
-  const std::size_t lanes = protocols.size();
-  RRB_REQUIRE(out.size() == lanes, "one result slot per lane");
-  std::vector<Rng> rngs;
-  rngs.reserve(lanes);
-  std::vector<NodeId> sources(lanes);
+/// Graph sources: every trial shares one fixed graph, or builds its own
+/// from the first draws of its stream.
+inline const Graph& trial_graph(const Graph& graph, Rng& /*rng*/,
+                                std::optional<Graph>& /*built*/) {
+  return graph;
+}
+inline const Graph& trial_graph(const GraphFactory& factory, Rng& rng,
+                                std::optional<Graph>& built) {
+  return built.emplace(factory(rng));
+}
+
+/// A ProtocolFactory and the channel its protocols run on.
+struct FactoryProtocols {
+  const ProtocolFactory& factory;
+  const ChannelConfig& channel;
+};
+
+/// Protocol sources: call fn(protocols, channel) with `lanes` fresh
+/// protocol instances (a span of pointers to one static type). A scheme is
+/// statically dispatched through with_scheme, so the engine inlines the
+/// concrete protocol; a factory hands out BroadcastProtocol instances.
+template <typename Fn>
+decltype(auto) with_lane_protocols(const BroadcastOptions& options,
+                                   const Graph& graph, std::size_t lanes,
+                                   Fn&& fn) {
+  return with_scheme(
+      graph, options, [&](auto proto, const ChannelConfig& channel) {
+        using Proto = decltype(proto);
+        std::vector<Proto> protos(lanes, proto);
+        std::vector<Proto*> ptrs;
+        for (Proto& p : protos) ptrs.push_back(&p);
+        return fn(std::span<Proto* const>(ptrs), channel);
+      });
+}
+template <typename Fn>
+decltype(auto) with_lane_protocols(const FactoryProtocols& source,
+                                   const Graph& graph, std::size_t lanes,
+                                   Fn&& fn) {
+  std::vector<std::unique_ptr<BroadcastProtocol>> owned;
+  std::vector<BroadcastProtocol*> ptrs;
   for (std::size_t b = 0; b < lanes; ++b) {
-    rngs.push_back(
-        Rng(seed).fork(static_cast<std::uint64_t>(first_trial) + b));
-    sources[b] =
-        fixed_source != kNoNode
-            ? fixed_source
-            : static_cast<NodeId>(rngs.back().uniform_u64(graph.num_nodes()));
+    owned.push_back(source.factory(graph));
+    RRB_REQUIRE(owned.back() != nullptr, "protocol factory returned null");
+    ptrs.push_back(owned.back().get());
   }
-  GraphTopology topo(graph);
-  BatchedPhoneCallEngine<GraphTopology> engine(topo, channel);
-  std::vector<RunResult> results =
-      engine.run(protocols, std::span<const NodeId>(sources),
-                 std::span<Rng>(rngs), limits, observers);
-  for (std::size_t b = 0; b < lanes; ++b) out[b] = std::move(results[b]);
+  return fn(std::span<BroadcastProtocol* const>(ptrs), source.channel);
+}
+
+/// The trial executor behind every driver. Trials run in groups on the
+/// pool: one trial per group, or — on a fixed graph with runner.batch >= 1
+/// — `batch` lanes on BatchedPhoneCallEngine, which makes each lane's
+/// sequential draws. Trial i draws from Rng(plan.seed).fork(i): its graph
+/// (factory sources only), its source (unless plan.source fixes it), then
+/// the round loop. It writes only runs[i], and record(i, observer) gets its
+/// observer after the run, while the trial's graph is still alive. Returns
+/// the runs in trial order.
+template <typename GraphSource, typename ProtocolSource,
+          typename MakeObserver, typename Record>
+std::vector<RunResult> execute_trials(const TrialPlan& plan,
+                                      const GraphSource& graphs,
+                                      const ProtocolSource& protocols,
+                                      const MakeObserver& make_observer,
+                                      const Record& record) {
+  using Obs = std::invoke_result_t<const MakeObserver&, const Graph&>;
+  RRB_REQUIRE(plan.trials >= 1, "need at least one trial");
+  const int batch =
+      std::is_same_v<GraphSource, Graph> ? plan.runner.batch : 0;
+  const int width = std::max(batch, 1);
+  std::vector<RunResult> runs(static_cast<std::size_t>(plan.trials));
+
+  ParallelRunner runner(plan.runner);
+  runner.for_each_trial((plan.trials + width - 1) / width, [&](int group) {
+    const int first = group * width;
+    const auto lanes =
+        static_cast<std::size_t>(std::min(width, plan.trials - first));
+    std::vector<Rng> rngs;
+    rngs.reserve(lanes);
+    for (std::size_t b = 0; b < lanes; ++b)
+      rngs.push_back(
+          Rng(plan.seed).fork(static_cast<std::uint64_t>(first) + b));
+    std::optional<Graph> built;
+    const Graph& graph = trial_graph(graphs, rngs.front(), built);
+    RRB_REQUIRE(graph.num_nodes() >= 2, "trial graph too small");
+
+    std::vector<NodeId> sources(lanes, plan.source);
+    std::vector<Obs> observers;
+    observers.reserve(lanes);
+    for (std::size_t b = 0; b < lanes; ++b) {
+      if (plan.source == kNoNode)
+        sources[b] =
+            static_cast<NodeId>(rngs[b].uniform_u64(graph.num_nodes()));
+      observers.push_back(make_observer(graph));
+    }
+
+    const auto out = std::span<RunResult>(runs).subspan(
+        static_cast<std::size_t>(first), lanes);
+    with_lane_protocols(
+        protocols, graph, lanes,
+        [&](auto lane_protocols, const ChannelConfig& channel) {
+          GraphTopology topo(graph);
+          if (batch >= 1) {
+            BatchedPhoneCallEngine<GraphTopology> engine(topo, channel);
+            std::vector<RunResult> results = engine.run(
+                lane_protocols, std::span<const NodeId>(sources),
+                std::span<Rng>(rngs), plan.limits, std::span<Obs>(observers));
+            std::ranges::move(results, out.begin());
+          } else {
+            PhoneCallEngine<GraphTopology> engine(topo, channel, rngs.front());
+            out.front() = engine.run(*lane_protocols.front(), sources.front(),
+                                     plan.limits, observers.front());
+          }
+        });
+    for (std::size_t b = 0; b < lanes; ++b)
+      record(first + static_cast<int>(b), observers[b]);
+  });
+  return runs;
+}
+
+/// The executor with each trial's observer kept, in trial order.
+template <typename GraphSource, typename ProtocolSource,
+          typename MakeObserver,
+          MetricObserver Obs =
+              std::invoke_result_t<const MakeObserver&, const Graph&>>
+ObservedOutcome<Obs> observe_trials(const TrialPlan& plan,
+                                    const GraphSource& graphs,
+                                    const ProtocolSource& protocols,
+                                    const MakeObserver& make_observer) {
+  RRB_REQUIRE(plan.trials >= 1, "need at least one trial");
+  std::vector<std::optional<Obs>> slots(static_cast<std::size_t>(plan.trials));
+  ObservedOutcome<Obs> observed;
+  observed.outcome = reduce_runs(execute_trials(
+      plan, graphs, protocols, make_observer, [&](int trial, Obs& obs) {
+        slots[static_cast<std::size_t>(trial)] = std::move(obs);
+      }));
+  observed.observers.reserve(slots.size());
+  for (std::optional<Obs>& slot : slots)
+    observed.observers.push_back(std::move(*slot));
+  return observed;
 }
 
 }  // namespace detail
@@ -168,119 +302,33 @@ template <typename MakeObserver,
     const GraphFactory& graph_factory,
     const ProtocolFactory& protocol_factory, const TrialConfig& config,
     const MakeObserver& make_observer) {
-  RRB_REQUIRE(config.trials >= 1, "need at least one trial");
-  const auto trials = static_cast<std::size_t>(config.trials);
-  std::vector<RunResult> runs(trials);
-  std::vector<std::optional<Obs>> slots(trials);
-
-  ParallelRunner runner(config.runner);
-  runner.for_each_trial(config.trials, [&](int trial) {
-    Rng rng = Rng(config.seed).fork(static_cast<std::uint64_t>(trial));
-    const Graph graph = graph_factory(rng);
-    RRB_REQUIRE(graph.num_nodes() >= 2, "trial graph too small");
-    auto protocol = protocol_factory(graph);
-    RRB_REQUIRE(protocol != nullptr, "protocol factory returned null");
-    Obs observers = make_observer(graph);
-
-    GraphTopology topo(graph);
-    PhoneCallEngine<GraphTopology> engine(topo, config.channel, rng);
-    const NodeId source =
-        config.random_source
-            ? static_cast<NodeId>(rng.uniform_u64(graph.num_nodes()))
-            : 0;
-    runs[static_cast<std::size_t>(trial)] =
-        engine.run(*protocol, source, config.limits, observers);
-    slots[static_cast<std::size_t>(trial)] = std::move(observers);
-  });
-
-  ObservedOutcome<Obs> observed;
-  observed.outcome = detail::reduce_runs(std::move(runs));
-  observed.observers.reserve(trials);
-  for (std::optional<Obs>& slot : slots)
-    observed.observers.push_back(std::move(*slot));
-  return observed;
+  return detail::observe_trials(
+      detail::plan_for(config), graph_factory,
+      detail::FactoryProtocols{protocol_factory, config.channel},
+      make_observer);
 }
 
-/// Observer-aware broadcast_trials: the facade sweep with a per-trial
-/// observer. Same draw order as the bare overload; the scheme's protocol
-/// is statically dispatched per trial exactly as there.
+/// Observer-aware broadcast_trials on a fixed graph: same draw order and
+/// static dispatch as the bare overload, batch included.
 template <typename MakeObserver,
           MetricObserver Obs =
               std::invoke_result_t<const MakeObserver&, const Graph&>>
 [[nodiscard]] ObservedOutcome<Obs> broadcast_trials(
     const Graph& graph, const BroadcastOptions& options,
     const MakeObserver& make_observer, NodeId source = kNoNode) {
-  RRB_REQUIRE(options.trials >= 1, "need at least one trial");
-  RRB_REQUIRE(source == kNoNode || source < graph.num_nodes(),
-              "source out of range");
-  RunLimits limits;
-  limits.max_rounds = options.max_rounds;
-  limits.record_rounds = options.record_rounds;
+  return detail::observe_trials(detail::plan_for(options, source), graph,
+                                options, make_observer);
+}
 
-  const auto trials = static_cast<std::size_t>(options.trials);
-  std::vector<RunResult> runs(trials);
-  std::vector<std::optional<Obs>> slots(trials);
-
-  ParallelRunner runner(options.runner);
-  if (const int batch = options.runner.batch; batch >= 1) {
-    // Batched: groups of `batch` trials advance in lockstep over the
-    // shared graph. Same per-trial streams and draw order as below, so
-    // runs and observers come out bit-identical (per-trial slots keep the
-    // reduction in trial order either way).
-    const int groups = (options.trials + batch - 1) / batch;
-    runner.for_each_trial(groups, [&](int group) {
-      const int begin = group * batch;
-      const int end = std::min(options.trials, begin + batch);
-      const auto lanes = static_cast<std::size_t>(end - begin);
-      with_scheme(
-          graph, options, [&](auto proto, const ChannelConfig& channel) {
-            using Proto = decltype(proto);
-            std::vector<Proto> protos(lanes, proto);
-            std::vector<Proto*> proto_ptrs(lanes);
-            std::vector<Obs> lane_obs;
-            lane_obs.reserve(lanes);
-            for (std::size_t b = 0; b < lanes; ++b) {
-              proto_ptrs[b] = &protos[b];
-              lane_obs.push_back(make_observer(graph));
-            }
-            std::vector<RunResult> lane_runs(lanes);
-            detail::run_batched_lanes(
-                graph, channel, limits,
-                std::span<Proto* const>(proto_ptrs), options.seed, begin,
-                source, std::span<Obs>(lane_obs),
-                std::span<RunResult>(lane_runs));
-            for (std::size_t b = 0; b < lanes; ++b) {
-              runs[static_cast<std::size_t>(begin) + b] =
-                  std::move(lane_runs[b]);
-              slots[static_cast<std::size_t>(begin) + b] =
-                  std::move(lane_obs[b]);
-            }
-          });
-    });
-  } else {
-    runner.for_each_trial(options.trials, [&](int trial) {
-      Rng rng = Rng(options.seed).fork(static_cast<std::uint64_t>(trial));
-      Obs observers = make_observer(graph);
-      runs[static_cast<std::size_t>(trial)] = with_scheme(
-          graph, options, [&](auto proto, const ChannelConfig& channel) {
-            GraphTopology topo(graph);
-            PhoneCallEngine<GraphTopology> engine(topo, channel, rng);
-            const NodeId from =
-                source != kNoNode
-                    ? source
-                    : static_cast<NodeId>(rng.uniform_u64(graph.num_nodes()));
-            return engine.run(proto, from, limits, observers);
-          });
-      slots[static_cast<std::size_t>(trial)] = std::move(observers);
-    });
-  }
-
-  ObservedOutcome<Obs> observed;
-  observed.outcome = detail::reduce_runs(std::move(runs));
-  observed.observers.reserve(trials);
-  for (std::optional<Obs>& slot : slots)
-    observed.observers.push_back(std::move(*slot));
-  return observed;
+/// Observer-aware broadcast_trials with a graph per trial.
+template <typename MakeObserver,
+          MetricObserver Obs =
+              std::invoke_result_t<const MakeObserver&, const Graph&>>
+[[nodiscard]] ObservedOutcome<Obs> broadcast_trials(
+    const GraphFactory& graph_factory, const BroadcastOptions& options,
+    const MakeObserver& make_observer, NodeId source = kNoNode) {
+  return detail::observe_trials(detail::plan_for(options, source),
+                                graph_factory, options, make_observer);
 }
 
 }  // namespace rrb

@@ -1,52 +1,49 @@
 #include "rrb/sim/trace.hpp"
 
-#include <algorithm>
+#include <memory>
 
 #include "rrb/common/check.hpp"
 #include "rrb/metrics/observers.hpp"
 #include "rrb/phonecall/edge_ids.hpp"
-#include "rrb/sim/runner.hpp"
+#include "rrb/sim/trial.hpp"
 
 namespace rrb {
 
 namespace {
 
-/// One trial's raw per-round values (not yet averaged). A pure function of
-/// (config, trial index): all randomness comes from Rng(seed).fork(trial).
-///
-/// Measurement is entirely observer-side (rrb/metrics/observers.hpp): the
-/// engine runs with an ObserverSet of SetSizeObserver (always), HSetObserver
-/// and EdgeUsageObserver (each disabled via null topology pointers when the
-/// config does not ask for it), and the observers' per-round series are
-/// zipped into SetTracePoints afterwards. Observers draw no randomness, so
-/// the trial's draw sequence — and therefore every traced value — is
-/// bit-identical to the pre-observer engine path (pinned in
-/// tests/test_metrics.cpp, TraceGolden).
-std::vector<SetTracePoint> trace_one_trial(
-    const TraceGraphFactory& graph_factory,
-    const TraceProtocolFactory& protocol_factory, const TraceConfig& config,
-    int trial) {
-  Rng rng = Rng(config.seed).fork(static_cast<std::uint64_t>(trial));
-  const Graph graph = graph_factory(rng);
-  auto protocol = protocol_factory(graph);
+/// Keeps a trial's edge-id map alive inside its observer stack. The map is
+/// heap-held, so EdgeUsageObserver's pointer into it survives the stack
+/// being moved.
+struct EdgeIdHolder {
+  std::unique_ptr<const EdgeIdMap> map;
+  [[nodiscard]] const char* name() const { return "edge-ids"; }
+};
 
-  GraphTopology topo(graph);
-  PhoneCallEngine<GraphTopology> engine(topo, config.channel, rng);
+/// Measurement is entirely observer-side (rrb/metrics/observers.hpp):
+/// SetSizeObserver always, HSetObserver and EdgeUsageObserver each disabled
+/// via null topology pointers when the config does not ask for it. The
+/// observers' per-round series are zipped into SetTracePoints after the
+/// run. Observers draw no randomness, so the trial's draw sequence — and
+/// therefore every traced value — is bit-identical to the pre-observer
+/// engine path (pinned in tests/test_metrics.cpp, TraceGolden).
+using TraceObservers = ObserverSet<EdgeIdHolder, SetSizeObserver,
+                                   HSetObserver, EdgeUsageObserver>;
 
-  EdgeIdMap edge_ids;
-  if (config.track_edge_usage) edge_ids = build_edge_id_map(graph);
-
-  ObserverSet observers(
-      SetSizeObserver{},
+TraceObservers trace_observers(const Graph& graph, const TraceConfig& config) {
+  EdgeIdHolder edge_ids;
+  if (config.track_edge_usage)
+    edge_ids.map = std::make_unique<const EdgeIdMap>(build_edge_id_map(graph));
+  const EdgeIdMap* map = edge_ids.map.get();
+  return TraceObservers(
+      std::move(edge_ids), SetSizeObserver{},
       HSetObserver(config.track_h_sets ? &graph : nullptr),
-      EdgeUsageObserver(config.track_edge_usage ? &graph : nullptr,
-                        config.track_edge_usage ? &edge_ids : nullptr,
+      EdgeUsageObserver(map != nullptr ? &graph : nullptr, map,
                         /*record_per_round=*/true));
+}
 
-  const NodeId source =
-      static_cast<NodeId>(rng.uniform_u64(graph.num_nodes()));
-  (void)engine.run(*protocol, source, config.limits, observers);
-
+/// One trial's raw per-round values (not yet averaged).
+std::vector<SetTracePoint> trace_points(const TraceObservers& observers,
+                                        const TraceConfig& config) {
   const auto& sizes = observers.get<SetSizeObserver>().points();
   const auto& hsets = observers.get<HSetObserver>().points();
   const auto& unused =
@@ -77,14 +74,23 @@ std::vector<SetTracePoint> trace_set_sizes(
     const TraceProtocolFactory& protocol_factory, const TraceConfig& config) {
   RRB_REQUIRE(config.trials >= 1, "need at least one trial");
 
-  // Each trial fills its own slot; threads never touch shared state.
+  // Every trial runs through the trial executor, a uniform source drawn
+  // after its graph, and fills its own slot with its per-round series.
+  detail::TrialPlan plan;
+  plan.trials = config.trials;
+  plan.seed = config.seed;
+  plan.limits = config.limits;
+  plan.runner = config.runner;
   std::vector<std::vector<SetTracePoint>> per_trial(
       static_cast<std::size_t>(config.trials));
-  ParallelRunner runner(config.runner);
-  runner.for_each_trial(config.trials, [&](int trial) {
-    per_trial[static_cast<std::size_t>(trial)] =
-        trace_one_trial(graph_factory, protocol_factory, config, trial);
-  });
+  (void)detail::execute_trials(
+      plan, graph_factory,
+      detail::FactoryProtocols{protocol_factory, config.channel},
+      [&](const Graph& graph) { return trace_observers(graph, config); },
+      [&](int trial, const TraceObservers& observers) {
+        per_trial[static_cast<std::size_t>(trial)] =
+            trace_points(observers, config);
+      });
 
   // Sum in trial order — the same float addition order as a sequential
   // run, so the averaged trace is byte-identical for any thread count.

@@ -2,9 +2,9 @@
 /// the trial-batched engine. RunnerConfig::batch is pure scheduling —
 /// every lane keeps its own Rng(seed).fork(i) stream and the lockstep loop
 /// replays the sequential engine's per-lane draw order exactly — so for
-/// all eight schemes, B in {1, 4, 32} and worker threads 1/4, the batched
-/// drivers must reproduce the sequential outputs (and observer streams) to
-/// the bit. The sequential outputs themselves are frozen by
+/// all eight schemes, B in {1, 4, 32, 65} and worker threads 1/4, the
+/// batched drivers must reproduce the sequential outputs (and observer
+/// streams) to the bit. The sequential outputs themselves are frozen by
 /// tests/test_golden_results.cpp, so equality here chains the batched path
 /// to the recorded goldens.
 
@@ -91,11 +91,14 @@ TEST(BatchedBitIdentity, AllSchemesAllBatchesAllThreads) {
     BroadcastOptions opt;
     opt.scheme = scheme;
     opt.seed = 0xba7c401;
-    opt.trials = 37;  // not a multiple of 4 or 32: exercises partial groups
+    // 70 trials: not a multiple of 4, 32 or 65, so every batch has a
+    // partial group; at B = 65 the first group is wider than one 64-lane
+    // mask word, which no lockstep kernel takes.
+    opt.trials = 70;
     opt.runner.threads = 1;
     opt.runner.batch = 0;
     const TrialOutcome sequential = broadcast_trials(g, opt);
-    for (const int batch : {1, 4, 32}) {
+    for (const int batch : {1, 4, 32, 65}) {
       for (const int threads : {1, 4}) {
         SCOPED_TRACE(std::string(scheme_name(scheme)) + " B=" +
                      std::to_string(batch) + " threads=" +
@@ -218,7 +221,7 @@ TEST(BatchedObservers, ObserverStreamsMatchSequential) {
         // Hook-derived whole-run summary (on_run_begin/round_end/run_end).
         expect_run_eq(got.get<RunSummaryObserver>().result(),
                       want.get<RunSummaryObserver>().result());
-        // Per-round informed_at scans (exercises the lane gather path).
+        // Per-round informed_at scans.
         const auto& got_points = got.get<SetSizeObserver>().points();
         const auto& want_points = want.get<SetSizeObserver>().points();
         ASSERT_EQ(got_points.size(), want_points.size());

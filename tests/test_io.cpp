@@ -74,6 +74,20 @@ TEST(GraphIo, RejectsMalformedEdges) {
                std::runtime_error);
 }
 
+TEST(GraphIo, RejectsNodeCountOutsideNodeId) {
+  // Counts a sign or a cast would wrap to a small n come first: ASSERT stops
+  // here if they parse, before the huge ones below could allocate.
+  ASSERT_THROW((void)from_edge_list_string("n 4294967296\n"),
+               std::runtime_error);  // 2^32, truncated to 0
+  ASSERT_THROW((void)from_edge_list_string("n -4294967291\n0 1\n"),
+               std::runtime_error);  // wraps to 2^64 - 2^32 + 5, then 5
+  EXPECT_THROW((void)from_edge_list_string("n -1\n"), std::runtime_error);
+  EXPECT_THROW((void)from_edge_list_string("n 99999999999\n"),
+               std::runtime_error);
+  EXPECT_THROW((void)from_edge_list_string("n +5\n"), std::runtime_error);
+  EXPECT_THROW((void)from_edge_list_string("n\n"), std::runtime_error);
+}
+
 TEST(GraphIo, StreamInterfaceMatchesStringInterface) {
   Rng rng(3);
   const Graph g = gnp(40, 0.1, rng);
