@@ -19,7 +19,7 @@
 ///
 /// Usage:
 ///   rrb_campaign [--spec FILE] [--set key=value ...] [--out DIR|none]
-///                [--threads W] [--chunk C] [--parallel-cells]
+///                [--threads W] [--batch B] [--parallel-cells]
 ///                [--shard I/K] [--merge DIR-OR-GLOB ...] [--list] [--quiet]
 ///
 /// Without --spec, settings start from the built-in defaults; --set
@@ -82,7 +82,7 @@ struct Options {
 void usage() {
   std::cout <<
       "usage: rrb_campaign [--spec FILE] [--set key=value ...] [--out DIR]\n"
-      "                    [--threads W] [--chunk C] [--batch B]\n"
+      "                    [--threads W] [--batch B]\n"
       "                    [--parallel-cells] [--shard I/K]\n"
       "                    [--merge DIR-OR-GLOB ...] [--distribute K]\n"
       "                    [--respawn-budget N] [--list] [--quiet]\n"
@@ -95,7 +95,6 @@ void usage() {
       "                   'none' runs in memory without artifacts)\n"
       "  --threads W      worker threads (default 0 = auto: $RRB_THREADS,\n"
       "                   else hardware cores); never changes the results\n"
-      "  --chunk C        trials per scheduling task (default 0 = auto)\n"
       "  --batch B        trials per lockstep engine step on fixed-topology\n"
       "                   paths (default 0 = sequential); same output\n"
       "  --parallel-cells fan cells (not trials) across the pool — faster\n"
@@ -115,7 +114,7 @@ void usage() {
       "  --trace FILE     record a Chrome trace-event JSON (open in Perfetto\n"
       "                   or chrome://tracing) covering the driver, any\n"
       "                   distributed workers, cells, engine kernels and\n"
-      "                   runner chunks. Pure side channel: artifacts stay\n"
+      "                   runner pools. Pure side channel: artifacts stay\n"
       "                   byte-identical with tracing on\n"
       "  --list           print the expanded cells and exit\n"
       "  --quiet          suppress per-cell progress lines\n";
@@ -282,7 +281,6 @@ bool parse(int argc, char** argv, Options& opt) {
     }
     else if (flag == "--out") opt.out_dir = next();
     else if (flag == "--threads") opt.config.runner.threads = std::stoi(next());
-    else if (flag == "--chunk") opt.config.runner.chunk = std::stoi(next());
     else if (flag == "--batch") opt.config.runner.batch = std::stoi(next());
     else if (flag == "--parallel-cells") opt.config.parallel_cells = true;
     else if (flag == "--distribute") opt.distribute = std::stoi(next());
@@ -310,8 +308,6 @@ bool parse(int argc, char** argv, Options& opt) {
   }
   if (opt.config.runner.threads < 0)
     throw std::runtime_error("--threads must be >= 0");
-  if (opt.config.runner.chunk < 0)
-    throw std::runtime_error("--chunk must be >= 0");
   if (opt.config.runner.batch < 0)
     throw std::runtime_error("--batch must be >= 0");
   if (opt.distribute < 0)

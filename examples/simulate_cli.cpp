@@ -7,9 +7,9 @@
 ///   simulate_cli [--protocol SCHEME] [--list-schemes]
 ///                [--graph regular|gnp|hypercube|pa|chunked|chunked-out|
 ///                 FILE.edges]
-///                [--n 16384] [--d 8] [--chunks C] [--choices K]
+///                [--n 16384] [--d 8] [--choices K]
 ///                [--memory M] [--quasirandom] [--failure P] [--alpha A]
-///                [--seed S] [--trials T] [--threads W] [--chunk C]
+///                [--seed S] [--trials T] [--threads W]
 ///                [--json PATH] [--trace PATH] [--metrics LIST]
 ///
 /// SCHEME is any canonical scheme name (`--list-schemes` prints all of
@@ -48,7 +48,6 @@ struct Options {
   std::string graph = "regular";
   rrb::NodeId n = 1 << 14;
   rrb::NodeId d = 8;
-  int chunks = 0;     // execution batches for the chunked generators
   int choices = -1;   // -1 = scheme default
   int memory = -1;    // -1 = scheme default
   bool quasirandom = false;
@@ -68,23 +67,17 @@ void usage() {
       "usage: simulate_cli [--protocol SCHEME] [--list-schemes]\n"
       "                    [--graph regular|gnp|hypercube|pa|chunked|"
       "chunked-out|FILE.edges]\n"
-      "                    [--n N] [--d D] [--chunks C] [--choices K] "
-      "[--memory M]\n"
+      "                    [--n N] [--d D] [--choices K] [--memory M]\n"
       "                    [--quasirandom] [--failure P] [--alpha A] "
       "[--seed S] [--trials T]\n"
-      "                    [--threads W] [--chunk C] [--json PATH]\n"
-      "                    [--trace PATH]\n"
+      "                    [--threads W] [--json PATH] [--trace PATH]\n"
+      "                    [--metrics LIST]\n"
       "\n"
       "  --graph chunked      rrb::bigtopo chunked configuration model "
       "(compact CSR\n"
       "               build; reaches n in the millions). chunked-out is "
       "the d-out\n"
       "               overlay variant (degree d + in-degree).\n"
-      "  --chunks C   execution batches for the chunked generators "
-      "(default 0 =\n"
-      "               one per canonical chunk). Scheduling only: the "
-      "graph bytes\n"
-      "               are identical for every C.\n"
       "  --protocol SCHEME  a canonical scheme name (see --list-schemes) "
       "or one of\n"
       "               the aliases push-pull, median, seq\n"
@@ -102,8 +95,6 @@ void usage() {
       "sequential).\n"
       "               Results are identical for every W — only wall-clock "
       "time changes.\n"
-      "  --chunk C    consecutive trials per scheduling task (default 0 = "
-      "auto)\n"
       "  --json PATH  also write the summaries as a JSON report (shared "
       "artifact\n"
       "               writer, same layout as the BENCH_*.json files)\n"
@@ -162,7 +153,6 @@ bool parse(int argc, char** argv, Options& opt) {
     else if (flag == "--graph") opt.graph = next();
     else if (flag == "--n") opt.n = static_cast<rrb::NodeId>(std::stoul(next()));
     else if (flag == "--d") opt.d = static_cast<rrb::NodeId>(std::stoul(next()));
-    else if (flag == "--chunks") opt.chunks = std::stoi(next());
     else if (flag == "--choices") opt.choices = std::stoi(next());
     else if (flag == "--memory") opt.memory = std::stoi(next());
     else if (flag == "--quasirandom") opt.quasirandom = true;
@@ -171,15 +161,12 @@ bool parse(int argc, char** argv, Options& opt) {
     else if (flag == "--seed") opt.seed = std::stoull(next());
     else if (flag == "--trials") opt.trials = std::stoi(next());
     else if (flag == "--threads") opt.runner.threads = std::stoi(next());
-    else if (flag == "--chunk") opt.runner.chunk = std::stoi(next());
     else if (flag == "--json") opt.json_path = next();
     else if (flag == "--trace") opt.trace_path = next();
     else if (flag == "--metrics") opt.metrics = next();
     else throw std::runtime_error("unknown flag: " + flag);
   }
   if (opt.runner.threads < 0) throw std::runtime_error("--threads must be >= 0");
-  if (opt.runner.chunk < 0) throw std::runtime_error("--chunk must be >= 0");
-  if (opt.chunks < 0) throw std::runtime_error("--chunks must be >= 0");
   return true;
 }
 
@@ -243,14 +230,13 @@ int main(int argc, char** argv) {
     };
   } else if (opt.graph == "chunked" || opt.graph == "chunked-out") {
     // rrb::bigtopo compact-CSR path, seeded from the trial stream like the
-    // campaign runner's chunked family. --chunks batches execution only.
+    // campaign runner's chunked family.
     const bool out_links = opt.graph == "chunked-out";
     graph_factory = [&, out_links](Rng& rng) {
       bigtopo::ChunkedParams params;
       params.n = opt.n;
       params.d = opt.d;
       params.seed = rng.next_u64();
-      params.chunks = opt.chunks;
       return out_links ? bigtopo::chunked_random_out(params)
                        : bigtopo::chunked_configuration_model(params);
     };

@@ -12,10 +12,6 @@ namespace rrb::bigtopo {
 
 namespace {
 
-/// Node-id ceiling shared with the campaign spec parser (n <= 2^31,
-/// types.hpp).
-constexpr std::uint64_t kMaxNodes = std::uint64_t{1} << 31;
-
 /// splitmix64 finalising mix — the diffusion step of the Feistel round
 /// function. Matches the mixer inside derive_seed, so the permutation's
 /// quality rests on the same primitive as the seeding contract.
@@ -75,15 +71,6 @@ void validate_order(NodeId n, std::span<const NodeId> order) {
     RRB_REQUIRE(!seen[c], "bigtopo: duplicate chunk in execution order");
     seen[c] = true;
   }
-}
-
-/// Execution batches: `chunks` groups of consecutive entries of `order`
-/// (0 = one batch per canonical chunk). Pure scheduling — the per-chunk
-/// work is identical whatever the grouping.
-[[nodiscard]] std::size_t num_batches(std::size_t total, int chunks) {
-  RRB_REQUIRE(chunks >= 0, "bigtopo: chunks must be >= 0");
-  if (chunks == 0 || static_cast<std::size_t>(chunks) >= total) return total;
-  return static_cast<std::size_t>(chunks);
 }
 
 /// RSS sample attached to a span's args — telemetry side channel only.
@@ -204,8 +191,8 @@ Graph chunked_configuration_model(const ChunkedParams& params,
   // The pairing: stub s partners with the stub at the XOR-1 position of
   // the permuted order. Each adjacency slot is slot-addressed (stub s of
   // node v = offset v*d + j lands at CSR index v*d + j), so the fill below
-  // is a pure function of (seed, slot) — chunk grouping and execution
-  // order cannot change a byte.
+  // is a pure function of (seed, slot) — chunk execution order cannot
+  // change a byte.
   const StubPermutation perm(
       derive_seed(params.seed, hash_string("bigtopo/pairing")), stubs);
 
@@ -217,21 +204,14 @@ Graph chunked_configuration_model(const ChunkedParams& params,
 
   {
     telemetry::Span fill_span("bigtopo", "config-model/fill");
-    const std::size_t batches = num_batches(chunk_order.size(), params.chunks);
-    std::size_t next = 0;
-    for (std::size_t b = 0; b < batches; ++b) {
-      // Batch b takes its contiguous share of the execution order.
-      const std::size_t end =
-          ((b + 1) * chunk_order.size()) / batches;
-      for (; next < end; ++next) {
-        const ChunkRange range = canonical_chunk_range(n, chunk_order[next]);
-        for (NodeId v = range.begin; v < range.end; ++v) {
-          const std::uint64_t first = static_cast<std::uint64_t>(v) * d;
-          for (NodeId j = 0; j < d; ++j) {
-            const std::uint64_t partner =
-                perm.inverse(perm.forward(first + j) ^ 1);
-            adjacency[first + j] = static_cast<NodeId>(partner / d);
-          }
+    for (const NodeId c : chunk_order) {
+      const ChunkRange range = canonical_chunk_range(n, c);
+      for (NodeId v = range.begin; v < range.end; ++v) {
+        const std::uint64_t first = static_cast<std::uint64_t>(v) * d;
+        for (NodeId j = 0; j < d; ++j) {
+          const std::uint64_t partner =
+              perm.inverse(perm.forward(first + j) ^ 1);
+          adjacency[first + j] = static_cast<NodeId>(partner / d);
         }
       }
     }

@@ -28,12 +28,10 @@
 ///     Rng(chunk_seed(seed, c))     with  chunk_seed = derive_seed
 ///
 /// — the same discipline as the trial contract (trial i runs on
-/// Rng(seed).fork(i)), golden-pinned in tests/test_bigtopo.cpp. The
-/// user-facing `ChunkedParams::chunks` only groups canonical chunks into
-/// execution batches; like thread counts and shard splits everywhere else
-/// in this repo, chunking is scheduling, never semantics: the produced
-/// graph is byte-identical for every chunk count and every chunk execution
-/// order (pinned in tests/test_bigtopo.cpp).
+/// Rng(seed).fork(i)), golden-pinned in tests/test_bigtopo.cpp. The order
+/// in which canonical chunks execute is scheduling, never semantics: the
+/// produced graph is byte-identical for every chunk execution order
+/// (pinned in tests/test_bigtopo.cpp through the `chunk_order` overloads).
 ///
 /// Two generators are provided:
 ///  - chunked_configuration_model: the paper's §1.2 pairing model, exact
@@ -44,8 +42,8 @@
 ///    seed-keyed pseudorandom permutation over stub indices
 ///    (StubPermutation): stub s is matched with the stub occupying the
 ///    adjacent position in the permuted order. Each adjacency slot is then
-///    a pure function of (seed, slot) — trivially chunk-count- and
-///    order-independent, with zero scratch.
+///    a pure function of (seed, slot) — trivially order-independent, with
+///    zero scratch.
 ///  - chunked_random_out: each node draws d out-partners from its canonical
 ///    chunk's Rng(chunk_seed(seed, c)) stream; the undirected union has
 ///    irregular degrees, so the CSR is assembled by the classical two-pass
@@ -61,8 +59,8 @@ namespace rrb::bigtopo {
 
 /// Canonical chunk width in nodes. Fixed: the chunk grid is part of the
 /// generated graph's identity (chunk c covers nodes [c*kChunkNodes,
-/// (c+1)*kChunkNodes) ∩ [0, n)), so outputs never depend on how many
-/// execution batches the caller asked for.
+/// (c+1)*kChunkNodes) ∩ [0, n)), so outputs never depend on how the
+/// chunks are scheduled.
 inline constexpr NodeId kChunkNodes = NodeId{1} << 14;
 
 /// Seed of canonical chunk `chunk_id` under `seed`: derive_seed(seed,
@@ -112,16 +110,12 @@ class StubPermutation {
 };
 
 /// Parameters of a chunked generation run. `n`, `d` and `seed` are the
-/// output's identity; `chunks` and `memory_budget_bytes` are execution
-/// policy and change no byte of the result.
+/// output's identity; `memory_budget_bytes` is execution policy and
+/// changes no byte of the result.
 struct ChunkedParams {
   NodeId n = 0;  ///< nodes
   NodeId d = 0;  ///< configuration-model degree / out-links per node
   std::uint64_t seed = 0;
-
-  /// Execution batches the canonical chunks are grouped into; 0 = one batch
-  /// per canonical chunk. Scheduling only — never semantics.
-  int chunks = 0;
 
   /// Refuse (RRB_REQUIRE) to generate when the estimated peak exceeds this
   /// many bytes; 0 disables the check.

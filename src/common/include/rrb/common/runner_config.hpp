@@ -15,20 +15,13 @@ namespace rrb {
 /// Whatever values are chosen, results are bit-identical to the
 /// sequential path: trial i's randomness depends only on (seed, i) — see
 /// Rng::fork — and per-trial results are reduced in trial order. Threads
-/// and chunking only change wall-clock time, never output.
+/// and batching only change wall-clock time, never output.
 struct RunnerConfig {
   /// Worker threads. 0 = automatic: $RRB_THREADS when set to a positive
   /// integer, otherwise one per hardware core. 1 = run inline on the
-  /// calling thread (no pool is spawned).
+  /// calling thread (no pool is spawned). Workers claim one trial index at
+  /// a time.
   int threads = 0;
-
-  /// Consecutive trials claimed per scheduling task. 0 = automatic: a
-  /// bounded default of ceil(trials / (4 · workers)), i.e. about four
-  /// chunks per worker — enough slack for dynamic load balancing while
-  /// keeping the number of scheduling tasks O(threads) instead of
-  /// O(trials). Larger explicit chunks amortise scheduling overhead
-  /// further when trials are tiny.
-  int chunk = 0;
 
   /// Trials advanced in lockstep per BatchedPhoneCallEngine call on
   /// execution paths that support batching — fixed-topology trial sweeps

@@ -11,6 +11,9 @@ namespace rrb {
 /// laptop-scale instances this library targets (n <= 2^31).
 using NodeId = std::uint32_t;
 
+/// Largest node count any graph, generator or spec accepts (n <= 2^31).
+inline constexpr std::uint64_t kMaxNodes = std::uint64_t{1} << 31;
+
 /// A synchronous round of the phone call model. Rounds start at 1 to match
 /// the paper's convention that the message is created at time step 0.
 using Round = std::int32_t;

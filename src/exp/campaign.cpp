@@ -63,8 +63,7 @@ namespace {
   return shape;
 }
 
-[[nodiscard]] GraphFactory graph_factory_for(const CampaignSpec& spec,
-                                             const CampaignCell& cell) {
+[[nodiscard]] GraphFactory graph_factory_for(const CampaignCell& cell) {
   const NodeId n = cell.n;
   const NodeId d = cell.d;
   switch (cell.graph) {
@@ -86,15 +85,12 @@ namespace {
     case GraphFamily::kChunked: {
       // The chunked generator is seeded from the trial stream (one draw),
       // so its per-trial identity follows the same (cell_seed, trial)
-      // contract as every stateful generator. `chunks` only batches
-      // execution and changes no graph byte.
-      const int chunks = spec.chunks;
-      return [n, d, chunks](Rng& rng) {
+      // contract as every stateful generator.
+      return [n, d](Rng& rng) {
         bigtopo::ChunkedParams params;
         params.n = n;
         params.d = d;
         params.seed = rng.next_u64();
-        params.chunks = chunks;
         return bigtopo::chunked_configuration_model(params);
       };
     }
@@ -171,7 +167,7 @@ void run_static_cell(const CampaignSpec& spec, const CampaignCell& cell,
   options.trials = spec.trials;
   options.runner = trial_runner;
   const NodeId source = spec.random_source ? kNoNode : 0;
-  const GraphFactory graph_factory = graph_factory_for(spec, cell);
+  const GraphFactory graph_factory = graph_factory_for(cell);
 
   if (spec.metrics.empty()) {
     set_static_columns(record,

@@ -16,7 +16,7 @@
 /// executes every cell's trials under the library's seeding contract
 /// (trial i of a cell runs on Rng(cell.seed).fork(i), reduced in trial
 /// order), so a cell's record is a pure function of (spec, cell) — never of
-/// the thread count, the chunk size, the shard split, or which cells ran
+/// the thread count, the batch width, the shard split, or which cells ran
 /// before it. That purity is what the artifact layer leans on:
 ///
 ///  * `manifest.jsonl` — an append-only journal, one flushed line per

@@ -129,8 +129,8 @@ struct DistributeConfig {
   /// CampaignRunner pass. < 0 = 2 * workers.
   int respawn_budget = -1;
 
-  RunnerConfig runner;  ///< forwarded to every worker (--threads/--chunk/
-                        ///< --batch composition)
+  RunnerConfig runner;  ///< forwarded to every worker (--threads and
+                        ///< --batch)
   std::string out_dir;
   bool quiet = false;
 

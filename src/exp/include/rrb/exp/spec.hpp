@@ -130,12 +130,6 @@ struct CampaignSpec {
   int churn_switches = 2;       ///< maintenance 2-switches per round
   double churn_headroom = 0.5;  ///< overlay slot capacity = n * (1 + this)
 
-  /// Execution batches for the chunked family (bigtopo::ChunkedParams::
-  /// chunks; 0 = one batch per canonical chunk). Scheduling, never
-  /// semantics: not part of cell keys, describe() or the fingerprint —
-  /// the generated graphs are byte-identical for every value.
-  int chunks = 0;
-
   // ---- Metrics. Registry metrics (rrb/metrics/registry.hpp) collected
   // per trial via the observer pipeline and emitted as extra
   // `<prefix>_*_mean` columns in every cell record (spec line

@@ -258,7 +258,6 @@ std::vector<CampaignCell> expand_cells(const CampaignSpec& spec) {
     fail(std::string(graph_family_name(spec.graph)) +
          " derives the degree from n — a rule-based d axis would shadow "
          "the family's rule");
-  if (spec.chunks < 0) fail("chunks must be >= 0");
 
   std::vector<CampaignCell> cells;
   for (const BroadcastScheme scheme : spec.schemes)
@@ -409,9 +408,6 @@ std::string describe(const CampaignSpec& spec) {
     }
     out += "\n";
   }
-  // `chunks` is deliberately absent: execution batching is scheduling,
-  // never semantics, so it must not move the fingerprint (a resume under
-  // a different chunk count reuses every journal line).
   // Emitted only when non-empty so a metric-less spec's describe() (and
   // campaign.json echo) is byte-stable regardless of metrics support.
   if (!spec.metrics.empty()) {
@@ -472,7 +468,7 @@ void apply_setting(CampaignSpec& spec, std::string_view key,
   } else if (key == "n") {
     spec.n_values = parse_axis<NodeId>(value, [](std::string_view v) {
       const std::uint64_t n = parse_u64(v);
-      if (n < 2 || n > (1ULL << 31)) fail("n out of range");
+      if (n < 2 || n > kMaxNodes) fail("n out of range");
       return static_cast<NodeId>(n);
     });
   } else if (key == "d") {
@@ -531,10 +527,6 @@ void apply_setting(CampaignSpec& spec, std::string_view key,
       if (m > (1U << 20)) fail("memory out of range");
       return static_cast<int>(m);
     });
-  } else if (key == "chunks") {
-    const std::uint64_t chunks = parse_u64(value);
-    if (chunks > (1U << 20)) fail("chunks out of range");
-    spec.chunks = static_cast<int>(chunks);
   } else if (key == "overlay") {
     spec.overlay = parse_bool(value);
   } else if (key == "churn_switches") {

@@ -19,7 +19,7 @@ namespace {
 /// Node counts combine in 64-bit and must land back in the NodeId range
 /// (n <= 2^31, types.hpp) before a GraphBuilder is sized with them.
 [[nodiscard]] NodeId checked_node_count(std::uint64_t n, const char* what) {
-  RRB_REQUIRE(n <= (std::uint64_t{1} << 31),
+  RRB_REQUIRE(n <= kMaxNodes,
               std::string(what) + ": node count exceeds NodeId range");
   return static_cast<NodeId>(n);
 }

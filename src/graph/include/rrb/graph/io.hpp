@@ -12,7 +12,7 @@
 ///
 /// Format:
 ///   # comments and blank lines are ignored
-///   n <num_nodes>    decimal, at most the largest NodeId
+///   n <num_nodes>    decimal, at most kMaxNodes (2^31)
 ///   <u> <v>          one edge per line; duplicates = parallel edges,
 ///                    u == v = self-loop
 /// Node count must precede edges; endpoints must be < n.
@@ -24,8 +24,8 @@ namespace rrb {
 void write_edge_list(std::ostream& os, const Graph& g);
 
 /// Parse a graph from the stream. Throws std::runtime_error on malformed
-/// input (missing header, a node count that is not a decimal NodeId,
-/// out-of-range endpoints, trailing garbage).
+/// input (missing header, a node count that is not a decimal at most
+/// kMaxNodes, out-of-range endpoints, trailing garbage).
 [[nodiscard]] Graph read_edge_list(std::istream& is);
 
 /// Convenience round-trips through std::string.

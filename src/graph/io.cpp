@@ -50,6 +50,9 @@ Graph read_edge_list(std::istream& is) {
                                  " does not fit NodeId");
       if (ec != std::errc{} || ptr != count_end)
         throw std::runtime_error("edge list: malformed node count");
+      if (n > kMaxNodes)
+        throw std::runtime_error("edge list: node count " + count +
+                                 " exceeds the 2^31 node limit");
       have_header = true;
       std::string rest;
       if (ls >> rest)

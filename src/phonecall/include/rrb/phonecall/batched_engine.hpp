@@ -25,9 +25,10 @@
 /// kernel that models the lane group:
 ///  - the classical kernel (state-oblivious protocols, one reliable call per
 ///    round): per-lane transposed informed bitmaps small enough for L1;
-///  - the bitmask kernel (hook-free protocols and observers, uniform
-///    sampling, a fully-alive topology, <= 64 lanes): per-node lane masks,
-///    one node scan per round serving every lane;
+///  - the bitmask kernel (every other hook-free protocol and observer,
+///    uniform sampling, a fully-alive topology, <= 64 lanes): per-node lane
+///    masks, one action scan and one sampling loop per round serving every
+///    lane, whatever the number of calls or the channel failure rate;
 ///  - otherwise the sequential fallback: the lanes run one at a time on
 ///    PhoneCallEngine, each on its own Rng. Hooked protocols, observers with
 ///    hooks, quasirandom cursors, memory rings and lane groups wider than a
@@ -78,12 +79,11 @@ inline constexpr bool kLaneHookFreeProtocol =
 /// kActionIgnoresState = true;` member) that action(v, state, t) depends
 /// only on the round number — never on the node id or its local state.
 /// All four classical baselines qualify: push/pull/push&pull answer a
-/// constant, fixed-horizon push answers a function of t. For such
-/// protocols the lockstep kernel asks action() once per lane per round and
-/// broadcasts the answer with two AND masks instead of walking every
-/// (node, lane) pair — the declaration is a contract, and a protocol that
-/// declares it untruthfully fails the batched-vs-sequential bit-identity
-/// suite.
+/// constant, fixed-horizon push answers a function of t. With one reliable
+/// call per round such protocols run on the classical kernel, which asks
+/// action() once per lane per round instead of walking every (node, lane)
+/// pair — the declaration is a contract, and a protocol that declares it
+/// untruthfully fails the batched-vs-sequential bit-identity suite.
 template <typename P>
 inline constexpr bool kStateObliviousAction = requires {
   requires P::kActionIgnoresState;
@@ -170,7 +170,8 @@ class BatchedPhoneCallEngine {
   /// engine — the per-node sample loop is ChannelSampler::choose's
   /// sample_distinct_small branch inlined verbatim (any drift breaks the
   /// batched-vs-sequential bit-identity suite) — it only replaces per-lane
-  /// control flow with the PullInformed/push-word bit algebra above.
+  /// control flow with the PullInformed/push-word bit algebra above. Lane
+  /// groups the classical kernel models are handed to it first.
   template <ProtocolImpl ProtocolT>
   std::vector<RunResult> run_lockstep_uniform(
       std::span<ProtocolT* const> protocols, std::span<const NodeId> sources,
@@ -212,7 +213,7 @@ class BatchedPhoneCallEngine {
   std::vector<Count> newly_count_;        // per lane, reset each round
   std::vector<std::size_t> active_;       // lanes still running, ascending
 
-  std::vector<NodeId> choice_buf_;  // per-node callee draws, reused
+  std::vector<NodeId> choice_buf_;  // classic kernel: per-node callee draws
 };
 
 template <Topology TopologyT>
@@ -276,15 +277,7 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_lockstep_uniform(
     kernel_span.set_args("{\"lanes\":" + std::to_string(lanes) +
                          ",\"n\":" + std::to_string(n) + "}");
 
-  // With a state-oblivious protocol (and the kernel's hook-free observers)
-  // nothing ever reads a per-(node, lane) informed stamp: Phase A never
-  // consults node state and there is no observer view to gather. Eliding
-  // the stamps drops the kernel's one superlinear array — n*lanes rounds
-  // (megabytes at B=64, past L2) that would otherwise be cleared per batch
-  // and take a scattered far write on every first delivery.
-  constexpr bool kKeepStamps = !detail::kStateObliviousAction<ProtocolT>;
-  if constexpr (kKeepStamps)
-    stamp_.assign(static_cast<std::size_t>(n) * lanes, kNever);
+  stamp_.assign(static_cast<std::size_t>(n) * lanes, kNever);
   push_words_.assign(n, 0);
   pi_.assign(n, PullInformed{});
   informed_.assign(lanes, 0);
@@ -305,8 +298,7 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_lockstep_uniform(
     const NodeId s = sources[b];
     RRB_REQUIRE(s < n, "source out of range");
     RRB_REQUIRE(topo_->is_alive(s), "source must be alive");
-    if constexpr (kKeepStamps)
-      stamp_[static_cast<std::size_t>(s) * lanes + b] = 0;
+    stamp_[static_cast<std::size_t>(s) * lanes + b] = 0;
     pi_[s].informed |= std::uint64_t{1} << b;
     informed_[b] = 1;
     informed_alive_[b] = 1;
@@ -346,10 +338,6 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_lockstep_uniform(
 
   NodeId choices[64];  // num_choices is capped at 64 by the constructor
 
-  // Nonzero while any pi_[v].pull word may hold stale bits from an earlier
-  // round; lets pure-push rounds skip the pull-word writes entirely.
-  std::uint64_t pull_words_dirty = 0;
-
   Round t = 0;
   while (live != 0 && t < limits.max_rounds) {
     ++t;
@@ -364,165 +352,87 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_lockstep_uniform(
     // lanes in which v is informed can act, so a single word test skips the
     // (initially vast) uninformed majority outright.
     std::uint64_t any_pull = 0;
-    if constexpr (detail::kStateObliviousAction<ProtocolT>) {
-      // Declared contract: action() reads only the round number, so one
-      // call per lane fixes the whole round. Every informed node transmits
-      // iff its lane's action is not kNone, which turns Phase A into two
-      // AND masks over a linear scan (vectorizable, no per-bit work) and
-      // makes transmitting_nodes the lane's informed count at round start.
-      std::uint64_t push_mask = 0;
-      std::uint64_t pull_mask = 0;
-      for (const std::size_t b : active_) {
-        NodeLocalState state;  // ignored by contract; t=0 stamp is arbitrary
-        state.informed_at = 0;
-        state.is_source = true;
-        const Action a = protocols[b]->action(NodeId{0}, state, t);
-        if (a != Action::kNone)
-          round_stats[b].transmitting_nodes = informed_alive_[b];
-        const std::uint64_t bit = std::uint64_t{1} << b;
-        if (does_push(a)) push_mask |= bit;
-        if (does_pull(a)) pull_mask |= bit;
-      }
-      // The source is informed from round 0, so a pulling lane always has
-      // at least one pulling node: any_pull == pull_mask exactly.
-      any_pull = pull_mask;
-      if ((pull_mask | pull_words_dirty) == 0) {
-        for (NodeId v = 0; v < n; ++v)
-          push_words_[v] = pi_[v].informed & push_mask;
-      } else {
-        for (NodeId v = 0; v < n; ++v) {
-          const std::uint64_t im = pi_[v].informed;
-          push_words_[v] = im & push_mask;
-          pi_[v].pull = im & pull_mask;
+    for (NodeId v = 0; v < n; ++v) {
+      const std::uint64_t im = pi_[v].informed & live;
+      std::uint64_t push_bits = 0;
+      std::uint64_t pull_bits = 0;
+      if (im != 0) {
+        const std::size_t base = static_cast<std::size_t>(v) * lanes;
+        for (std::uint64_t rem = im; rem != 0; rem &= rem - 1) {
+          const auto b = static_cast<std::size_t>(std::countr_zero(rem));
+          NodeLocalState state;
+          state.informed_at = stamp_[base + b];
+          state.is_source = state.informed_at == 0;
+          const Action a = protocols[b]->action(v, state, t);
+          if (a != Action::kNone) ++round_stats[b].transmitting_nodes;
+          if (does_push(a)) push_bits |= std::uint64_t{1} << b;
+          if (does_pull(a)) pull_bits |= std::uint64_t{1} << b;
         }
-        pull_words_dirty = pull_mask;
       }
-    } else {
-      for (NodeId v = 0; v < n; ++v) {
-        const std::uint64_t im = pi_[v].informed & live;
-        std::uint64_t push_bits = 0;
-        std::uint64_t pull_bits = 0;
-        if (im != 0) {
-          const std::size_t base = static_cast<std::size_t>(v) * lanes;
-          for (std::uint64_t rem = im; rem != 0; rem &= rem - 1) {
-            const auto b = static_cast<std::size_t>(std::countr_zero(rem));
-            NodeLocalState state;
-            state.informed_at = stamp_[base + b];
-            state.is_source = state.informed_at == 0;
-            const Action a = protocols[b]->action(v, state, t);
-            if (a != Action::kNone) ++round_stats[b].transmitting_nodes;
-            if (does_push(a)) push_bits |= std::uint64_t{1} << b;
-            if (does_pull(a)) pull_bits |= std::uint64_t{1} << b;
-          }
-        }
-        push_words_[v] = push_bits;
-        pi_[v].pull = pull_bits;
-        any_pull |= pull_bits;
-      }
+      push_words_[v] = push_bits;
+      pi_[v].pull = pull_bits;
+      any_pull |= pull_bits;
     }
 
     // Phase B: per lane, the exact per-node draw sequence of
     // ChannelSampler::choose's uniform branch (sample_distinct_small), then
     // the per-channel failure draw and delivery. A lane that neither pushes
     // from v nor pulls anywhere this round still makes all its draws — the
-    // stream must advance — but skips the partner lookup entirely.
-    //
-    // Delivery for one channel of lane b, caller v, partner w. Mirrors the
-    // sequential deliver() pair: push v->w first, then w's pull answer.
-    const auto deliver = [&](NodeId v, NodeId w, std::size_t b,
-                             std::uint64_t bit, bool push_here,
-                             RoundStats& round) {
-      PullInformed& mw = pi_[w];
-      if (push_here) {
-        ++round.push_tx;
-        if ((mw.informed & bit) == 0) {
-          mw.informed |= bit;
-          if constexpr (kKeepStamps)
-            stamp_[static_cast<std::size_t>(w) * lanes + b] = t;
-          ++informed_alive_[b];
-          ++newly_count_[b];
-        }
-      }
-      if ((mw.pull & bit) != 0) {
-        ++round.pull_tx;
-        PullInformed& mv = pi_[v];
-        if ((mv.informed & bit) == 0) {
-          mv.informed |= bit;
-          if constexpr (kKeepStamps)
-            stamp_[static_cast<std::size_t>(v) * lanes + b] = t;
-          ++informed_alive_[b];
-          ++newly_count_[b];
-        }
-      }
+    // stream must advance — but skips the partner lookup entirely. Each
+    // delivered channel mirrors the sequential deliver() pair: push v->w
+    // first, then w's pull answer.
+    const auto inform = [&](NodeId u, std::size_t b, std::uint64_t bit) {
+      PullInformed& mu = pi_[u];
+      if ((mu.informed & bit) != 0) return;
+      mu.informed |= bit;
+      stamp_[static_cast<std::size_t>(u) * lanes + b] = t;
+      ++informed_alive_[b];
+      ++newly_count_[b];
     };
-
-    if (k == 1 && !has_failure) {
-      // The classical single-call round with reliable channels (push, pull,
-      // push&pull, fixed-horizon). Phase B draws depend only on the lane's
-      // Rng stream and the (immutable) degrees — never on who is informed —
-      // so each lane's round splits into a draw sweep with the generator
-      // state entirely in registers, then a delivery sweep over the same
-      // nodes in the same ascending order. Within the lane that is exactly
-      // the sequential interleaving; across lanes nothing is shared.
-      choice_buf_.resize(n);
+    for (NodeId v = 0; v < n; ++v) {
+      const NodeId d = detail::topo_degree(*topo_, v);
+      if (d == 0) continue;  // choose() draws nothing for isolated nodes
+      const std::size_t take = std::min<std::size_t>(k, d);
+      const std::uint64_t push_v = push_words_[v];
       for (const std::size_t b : active_) {
-        Rng& rng = rngs[b];
-        for (NodeId v = 0; v < n; ++v) {
-          const NodeId d = detail::topo_degree(*topo_, v);
-          if (d == 0) continue;  // choose() draws nothing for isolated nodes
-          choice_buf_[v] = static_cast<NodeId>(rng.uniform_u64(d));
-        }
         const std::uint64_t bit = std::uint64_t{1} << b;
-        const bool lane_pulls = (any_pull & bit) != 0;
-        RoundStats& round = round_stats[b];
-        for (NodeId v = 0; v < n; ++v) {
-          const bool push_here = (push_words_[v] & bit) != 0;
-          if (!push_here && !lane_pulls) continue;
-          const NodeId d = detail::topo_degree(*topo_, v);
-          if (d == 0) continue;  // opened no channel
-          const NodeId w = detail::topo_neighbor(*topo_, v, choice_buf_[v]);
-          deliver(v, w, b, bit, push_here, round);
-        }
-      }
-    } else {
-      for (NodeId v = 0; v < n; ++v) {
-        const NodeId d = detail::topo_degree(*topo_, v);
-        if (d == 0) continue;  // choose() draws nothing for isolated nodes
-        const std::size_t take = std::min<std::size_t>(k, d);
-        const std::uint64_t push_v = push_words_[v];
-        for (const std::size_t b : active_) {
-          const std::uint64_t bit = std::uint64_t{1} << b;
-          Rng& rng = rngs[b];
-          // Inlined Rng::sample_distinct_small(d, take): rejection against
-          // the already-chosen prefix, in draw order.
-          for (std::size_t i = 0; i < take; ++i) {
-            NodeId candidate;
-            bool fresh;
-            do {
-              candidate = static_cast<NodeId>(rng.uniform_u64(d));
-              fresh = true;
-              for (std::size_t j = 0; j < i; ++j) {
-                if (choices[j] == candidate) {
-                  fresh = false;
-                  break;
-                }
+        Rng& rng = rngs[b];
+        // Inlined Rng::sample_distinct_small(d, take): rejection against
+        // the already-chosen prefix, in draw order.
+        for (std::size_t i = 0; i < take; ++i) {
+          NodeId candidate;
+          bool fresh;
+          do {
+            candidate = static_cast<NodeId>(rng.uniform_u64(d));
+            fresh = true;
+            for (std::size_t j = 0; j < i; ++j) {
+              if (choices[j] == candidate) {
+                fresh = false;
+                break;
               }
-            } while (!fresh);
-            choices[i] = candidate;
-          }
-          RoundStats& round = round_stats[b];
-          const bool push_here = (push_v & bit) != 0;
-          const bool lane_pulls = (any_pull & bit) != 0;
-          if (!has_failure && !push_here && !lane_pulls)
-            continue;  // no failure draws to make, nothing to deliver
-          for (std::size_t i = 0; i < take; ++i) {
-            if (has_failure && rng.bernoulli(fp)) {
-              ++round.channels_failed;
-              continue;
             }
-            if (!push_here && !lane_pulls) continue;
-            const NodeId w = detail::topo_neighbor(*topo_, v, choices[i]);
-            deliver(v, w, b, bit, push_here, round);
+          } while (!fresh);
+          choices[i] = candidate;
+        }
+        RoundStats& round = round_stats[b];
+        const bool push_here = (push_v & bit) != 0;
+        const bool lane_pulls = (any_pull & bit) != 0;
+        if (!has_failure && !push_here && !lane_pulls)
+          continue;  // no failure draws to make, nothing to deliver
+        for (std::size_t i = 0; i < take; ++i) {
+          if (has_failure && rng.bernoulli(fp)) {
+            ++round.channels_failed;
+            continue;
+          }
+          if (!push_here && !lane_pulls) continue;
+          const NodeId w = detail::topo_neighbor(*topo_, v, choices[i]);
+          if (push_here) {
+            ++round.push_tx;
+            inform(w, b, bit);
+          }
+          if ((pi_[w].pull & bit) != 0) {
+            ++round.pull_tx;
+            inform(v, b, bit);
           }
         }
       }

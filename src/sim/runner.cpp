@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,7 +34,6 @@ int env_threads() {
 
 ParallelRunner::ParallelRunner(RunnerConfig config) : config_(config) {
   RRB_REQUIRE(config_.threads >= 0, "RunnerConfig.threads must be >= 0");
-  RRB_REQUIRE(config_.chunk >= 0, "RunnerConfig.chunk must be >= 0");
   RRB_REQUIRE(config_.batch >= 0, "RunnerConfig.batch must be >= 0");
 }
 
@@ -43,79 +44,46 @@ int ParallelRunner::resolve_threads(const RunnerConfig& config) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-int ParallelRunner::resolved_chunk(int trials) const {
-  if (config_.chunk > 0) return config_.chunk;
-  // Bounded default: ~4 chunks per worker keeps dynamic load balancing
-  // effective while any state callers allocate per chunk stays
-  // O(threads) — see tests/test_runner.cpp.
-  const long long slots = 4LL * resolve_threads(config_);
-  const long long chunk = (static_cast<long long>(trials) + slots - 1) / slots;
-  return static_cast<int>(std::max(1LL, chunk));
-}
-
-int ParallelRunner::num_chunks(int trials) const {
-  // 64-bit intermediate: chunk may be INT_MAX and trials + chunk - 1
-  // must not overflow.
-  const long long chunk = resolved_chunk(trials);
-  return static_cast<int>((trials + chunk - 1) / chunk);
-}
-
-std::pair<int, int> ParallelRunner::chunk_bounds(int index, int trials) const {
-  RRB_REQUIRE(index >= 0 && index < num_chunks(trials),
-              "chunk index out of range");
-  const long long chunk = resolved_chunk(trials);
-  const long long begin = index * chunk;
-  const long long end = std::min<long long>(trials, begin + chunk);
-  return {static_cast<int>(begin), static_cast<int>(end)};
-}
-
-void ParallelRunner::for_each_chunk(
-    int trials, const std::function<void(int, int, int)>& fn) const {
+void ParallelRunner::for_each_trial(
+    int trials, const std::function<void(int)>& fn) const {
   RRB_REQUIRE(trials >= 0, "trials must be >= 0");
-  RRB_REQUIRE(fn != nullptr, "for_each_chunk needs a callable");
+  RRB_REQUIRE(fn != nullptr, "for_each_trial needs a callable");
   if (trials == 0) return;
 
-  const int chunks = num_chunks(trials);
-  const int workers = std::min(chunks, resolve_threads(config_));
+  const int workers = std::min(trials, resolve_threads(config_));
 
-  telemetry::Span pool_span("runner", "for_each_chunk");
+  telemetry::Span pool_span("runner", "for_each_trial");
   if (pool_span.active())
     pool_span.set_args("{\"trials\":" + std::to_string(trials) +
-                       ",\"chunks\":" + std::to_string(chunks) +
                        ",\"workers\":" + std::to_string(workers) + "}");
 
   if (workers <= 1) {
-    for (int index = 0; index < chunks; ++index) {
-      const auto [begin, end] = chunk_bounds(index, trials);
-      telemetry::Span chunk_span("runner", "chunk");
-      if (chunk_span.active())
-        chunk_span.set_args("{\"begin\":" + std::to_string(begin) +
-                            ",\"end\":" + std::to_string(end) + "}");
-      fn(index, begin, end);
-    }
+    for (int trial = 0; trial < trials; ++trial) fn(trial);
     return;
   }
 
-  // Dynamic scheduling: workers claim the next chunk off a shared counter.
-  // Which worker runs which chunk varies run to run; the caller's
-  // chunk-indexed slots make that invisible in the output.
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(chunks));
+  // Dynamic scheduling: workers claim the next trial off a shared counter.
+  // Which worker runs which trial varies run to run; the caller's
+  // trial-indexed slots make that invisible in the output. On failure only
+  // the lowest failing index and its exception are kept.
   std::atomic<int> next{0};
   std::atomic<bool> abort{false};
+  std::mutex error_mu;
+  int error_trial = trials;
+  std::exception_ptr error;
   const auto work = [&]() {
     while (!abort.load(std::memory_order_relaxed)) {
-      const int index = next.fetch_add(1, std::memory_order_relaxed);
-      if (index >= chunks) return;
-      const auto [begin, end] = chunk_bounds(index, trials);
-      telemetry::Span chunk_span("runner", "chunk");
-      if (chunk_span.active())
-        chunk_span.set_args("{\"begin\":" + std::to_string(begin) +
-                            ",\"end\":" + std::to_string(end) + "}");
+      const int trial = next.fetch_add(1, std::memory_order_relaxed);
+      if (trial >= trials) return;
       try {
-        fn(index, begin, end);
+        fn(trial);
       } catch (...) {
-        errors[static_cast<std::size_t>(index)] = std::current_exception();
         abort.store(true, std::memory_order_relaxed);
+        const std::lock_guard<std::mutex> lock(error_mu);
+        if (trial < error_trial) {
+          error_trial = trial;
+          error = std::current_exception();
+        }
         return;
       }
     }
@@ -126,16 +94,7 @@ void ParallelRunner::for_each_chunk(
   for (int i = 0; i < workers; ++i) pool.emplace_back(work);
   for (std::thread& t : pool) t.join();
 
-  for (std::exception_ptr& error : errors)
-    if (error) std::rethrow_exception(error);
-}
-
-void ParallelRunner::for_each_trial(
-    int trials, const std::function<void(int)>& fn) const {
-  RRB_REQUIRE(fn != nullptr, "for_each_trial needs a callable");
-  for_each_chunk(trials, [&fn](int /*index*/, int begin, int end) {
-    for (int trial = begin; trial < end; ++trial) fn(trial);
-  });
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace rrb

@@ -139,6 +139,7 @@ TEST(BatchedBitIdentity, FailureQuasirandomAndMemoryVariants) {
     BroadcastScheme scheme;
     double failure_prob;
     bool quasirandom;
+    int num_choices = 0;  // 0 = the scheme's default
   };
   const Variant variants[] = {
       // Per-channel failure bernoullis interleave with the partner draws.
@@ -150,6 +151,9 @@ TEST(BatchedBitIdentity, FailureQuasirandomAndMemoryVariants) {
       // with the memory draws.
       {"sequentialised+failures", BroadcastScheme::kSequentialised, 0.1,
        false},
+      // A state-oblivious protocol with several reliable calls per round
+      // runs on the bitmask kernel, not the classical one.
+      {"push+4-choices", BroadcastScheme::kPush, 0.0, false, 4},
   };
   for (const Variant& variant : variants) {
     SCOPED_TRACE(variant.name);
@@ -159,6 +163,7 @@ TEST(BatchedBitIdentity, FailureQuasirandomAndMemoryVariants) {
     opt.trials = 11;
     opt.failure_prob = variant.failure_prob;
     opt.quasirandom = variant.quasirandom;
+    opt.num_choices = variant.num_choices;
     const TrialOutcome sequential = broadcast_trials(g, opt);
     for (const int batch : {4, 32}) {
       SCOPED_TRACE(batch);

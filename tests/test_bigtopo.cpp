@@ -125,17 +125,6 @@ TEST(BigtopoConfigModel, ExactRegularMultigraphSemantics) {
   EXPECT_EQ(g.num_edges(), 2048U * 4 / 2);
 }
 
-TEST(BigtopoConfigModel, ByteIdenticalForEveryChunkCount) {
-  // Spans three canonical chunks so batching genuinely regroups work.
-  ChunkedParams params{.n = 2 * kChunkNodes + 778, .d = 4, .seed = 0xb16};
-  const std::uint64_t reference = graph_digest(chunked_configuration_model(params));
-  for (const int chunks : {1, 4, 17}) {
-    params.chunks = chunks;
-    EXPECT_EQ(graph_digest(chunked_configuration_model(params)), reference)
-        << "chunks=" << chunks;
-  }
-}
-
 TEST(BigtopoConfigModel, ByteIdenticalForEveryChunkOrder) {
   const ChunkedParams params{.n = 3 * kChunkNodes, .d = 3, .seed = 0xb16};
   const std::uint64_t reference =
@@ -225,14 +214,9 @@ TEST(BigtopoRandomOut, DegreeAndLoopInvariants) {
 }
 
 TEST(BigtopoRandomOut, ByteIdenticalForEveryChunkCountAndOrder) {
-  ChunkedParams params{.n = 2 * kChunkNodes + 123, .d = 3, .seed = 0xb17};
+  const ChunkedParams params{.n = 2 * kChunkNodes + 123, .d = 3,
+                             .seed = 0xb17};
   const std::uint64_t reference = graph_digest(chunked_random_out(params));
-  for (const int chunks : {1, 4, 17}) {
-    params.chunks = chunks;
-    EXPECT_EQ(graph_digest(chunked_random_out(params)), reference)
-        << "chunks=" << chunks;
-  }
-  params.chunks = 0;
   std::vector<NodeId> order(num_canonical_chunks(params.n));
   std::iota(order.begin(), order.end(), NodeId{0});
   std::reverse(order.begin(), order.end());

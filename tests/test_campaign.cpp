@@ -106,6 +106,7 @@ TEST(CampaignSpecParse, RejectsBadInputWithLineNumbers) {
   EXPECT_THROW((void)parse("trials = 0\n"), std::runtime_error);
   EXPECT_THROW((void)parse("no equals sign\n"), std::runtime_error);
   EXPECT_THROW((void)parse("n = 2^70\n"), std::runtime_error);
+  EXPECT_THROW((void)parse("chunks = 4\n"), std::runtime_error);  // no such key
   try {
     (void)parse("trials = 3\nbad = 1\n");
     FAIL() << "expected a parse error";
@@ -270,37 +271,19 @@ TEST(CampaignExpand, ChunkedAndProductFamiliesRoundTrip) {
       "graph = chunked\n"
       "scheme = push\n"
       "n = 2^20\n"
-      "d = 3, log2n, sqrtn\n"
-      "chunks = 7\n");
+      "d = 3, log2n, sqrtn\n");
   const CampaignSpec spec = parse_spec(in);
   EXPECT_EQ(spec.graph, GraphFamily::kChunked);
-  EXPECT_EQ(spec.chunks, 7);
   ASSERT_EQ(spec.d_rules.size(), 3U);
   EXPECT_EQ(spec.d_rules[0], (DegreeSpec{DegreeRule::kLiteral, 3}));
   EXPECT_EQ(spec.d_rules[1], (DegreeSpec{DegreeRule::kLog2N, 0}));
   EXPECT_EQ(spec.d_rules[2], (DegreeSpec{DegreeRule::kSqrtN, 0}));
 
-  // describe() spells the rules back, so the round-trip is byte-stable —
-  // but deliberately omits `chunks` (scheduling, never semantics).
+  // describe() spells the rules back, so the round-trip is byte-stable.
   const std::string described = describe(spec);
   EXPECT_NE(described.find("d = 3, log2n, sqrtn"), std::string::npos);
-  EXPECT_EQ(described.find("chunks"), std::string::npos);
   std::istringstream again(described);
   EXPECT_EQ(spec_fingerprint(parse_spec(again)), spec_fingerprint(spec));
-}
-
-TEST(CampaignExpand, ChunksNeverMoveTheFingerprintOrKeys) {
-  CampaignSpec a = tiny_spec();
-  CampaignSpec b = tiny_spec();
-  b.chunks = 64;
-  EXPECT_EQ(spec_fingerprint(a), spec_fingerprint(b));
-  const auto cells_a = expand_cells(a);
-  const auto cells_b = expand_cells(b);
-  ASSERT_EQ(cells_a.size(), cells_b.size());
-  for (std::size_t i = 0; i < cells_a.size(); ++i) {
-    EXPECT_EQ(cells_a[i].key, cells_b[i].key);
-    EXPECT_EQ(cells_a[i].seed, cells_b[i].seed);
-  }
 }
 
 TEST(CampaignExpand, DegreeRulesResolvePerN) {
@@ -425,15 +408,13 @@ TEST(CampaignRunCell, RecordIsIdenticalForAnyTrialRunnerConfig) {
     one.threads = 1;
     RunnerConfig eight;
     eight.threads = 8;
-    RunnerConfig chunked;
-    chunked.threads = 2;
-    chunked.chunk = 2;
+    RunnerConfig two;
+    two.threads = 2;
     const std::string baseline =
         CampaignRunner::run_cell(spec, cell, one).to_line();
     EXPECT_EQ(CampaignRunner::run_cell(spec, cell, eight).to_line(), baseline)
         << cell.key;
-    EXPECT_EQ(CampaignRunner::run_cell(spec, cell, chunked).to_line(),
-              baseline)
+    EXPECT_EQ(CampaignRunner::run_cell(spec, cell, two).to_line(), baseline)
         << cell.key;
   }
 }
@@ -701,15 +682,13 @@ TEST(CampaignMetrics, MetricColumnsAreDeterministicAcrossRunnerConfigs) {
     one.threads = 1;
     RunnerConfig eight;
     eight.threads = 8;
-    RunnerConfig chunked;
-    chunked.threads = 2;
-    chunked.chunk = 2;
+    RunnerConfig two;
+    two.threads = 2;
     const std::string baseline =
         CampaignRunner::run_cell(spec, cell, one).to_line();
     EXPECT_EQ(CampaignRunner::run_cell(spec, cell, eight).to_line(), baseline)
         << cell.key;
-    EXPECT_EQ(CampaignRunner::run_cell(spec, cell, chunked).to_line(),
-              baseline)
+    EXPECT_EQ(CampaignRunner::run_cell(spec, cell, two).to_line(), baseline)
         << cell.key;
   }
 }

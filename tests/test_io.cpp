@@ -84,6 +84,10 @@ TEST(GraphIo, RejectsNodeCountOutsideNodeId) {
   EXPECT_THROW((void)from_edge_list_string("n -1\n"), std::runtime_error);
   EXPECT_THROW((void)from_edge_list_string("n 99999999999\n"),
                std::runtime_error);
+  // Fits NodeId but exceeds kMaxNodes; from_edges would otherwise try to
+  // allocate offsets for 2^31 + 1 nodes.
+  EXPECT_THROW((void)from_edge_list_string("n 2147483649\n"),
+               std::runtime_error);
   EXPECT_THROW((void)from_edge_list_string("n +5\n"), std::runtime_error);
   EXPECT_THROW((void)from_edge_list_string("n\n"), std::runtime_error);
 }

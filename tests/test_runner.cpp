@@ -1,18 +1,15 @@
 /// The deterministic parallel runner: scheduling unit tests, plus the
 /// determinism regression suite pinning the seeding contract — the same
-/// (seed, trials) produces byte-identical results for every thread count
-/// and for chunked vs. unchunked scheduling, across the paper's schemes.
+/// (seed, trials) produces byte-identical results for every thread count,
+/// across the paper's schemes.
 
 #include "rrb/sim/runner.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -30,38 +27,6 @@ namespace {
 // ---------------------------------------------------------------------------
 // ParallelRunner scheduling unit tests.
 
-TEST(Runner, ChunkBoundsPartitionTrials) {
-  RunnerConfig cfg;
-  cfg.chunk = 4;
-  ParallelRunner runner(cfg);
-  EXPECT_EQ(runner.num_chunks(9), 3);
-  EXPECT_EQ(runner.chunk_bounds(0, 9), (std::pair<int, int>{0, 4}));
-  EXPECT_EQ(runner.chunk_bounds(1, 9), (std::pair<int, int>{4, 8}));
-  EXPECT_EQ(runner.chunk_bounds(2, 9), (std::pair<int, int>{8, 9}));
-  EXPECT_THROW((void)runner.chunk_bounds(3, 9), std::logic_error);
-}
-
-TEST(Runner, DefaultChunkIsBoundedByWorkerCount) {
-  // Regression: the default chunk was once 1 trial per task, so callers
-  // allocating one partial-reduction slot per chunk (reduce_trials) built
-  // a million slots for a million-trial sweep. The default now targets
-  // ~4 chunks per worker, independent of the trial count.
-  RunnerConfig cfg;
-  cfg.threads = 4;
-  ParallelRunner runner(cfg);
-  EXPECT_EQ(runner.resolved_chunk(1'000'000), 62'500);
-  EXPECT_EQ(runner.num_chunks(1'000'000), 16);
-  EXPECT_LE(runner.num_chunks(1'000'000), 4 * cfg.threads);
-  // Tiny sweeps still get per-trial chunks (full dynamic balancing).
-  EXPECT_EQ(runner.resolved_chunk(7), 1);
-  EXPECT_EQ(runner.num_chunks(7), 7);
-  // An explicit chunk is honoured verbatim, whatever the trial count.
-  cfg.chunk = 5;
-  ParallelRunner explicit_chunk(cfg);
-  EXPECT_EQ(explicit_chunk.resolved_chunk(1'000'000), 5);
-  EXPECT_EQ(explicit_chunk.num_chunks(10), 2);
-}
-
 TEST(Runner, ExplicitThreadsResolveVerbatim) {
   RunnerConfig cfg;
   cfg.threads = 3;
@@ -74,9 +39,6 @@ TEST(Runner, RejectsNegativeConfig) {
   RunnerConfig bad;
   bad.threads = -1;
   EXPECT_THROW(ParallelRunner{bad}, std::logic_error);
-  bad.threads = 0;
-  bad.chunk = -2;
-  EXPECT_THROW(ParallelRunner{bad}, std::logic_error);
 }
 
 class RunnerThreadGrid : public ::testing::TestWithParam<int> {};
@@ -84,32 +46,17 @@ class RunnerThreadGrid : public ::testing::TestWithParam<int> {};
 TEST_P(RunnerThreadGrid, EveryTrialRunsExactlyOnce) {
   RunnerConfig cfg;
   cfg.threads = GetParam();
-  cfg.chunk = 3;
-  constexpr int kTrials = 50;
-  std::vector<std::atomic<int>> hits(kTrials);
   ParallelRunner runner(cfg);
-  runner.for_each_trial(kTrials, [&](int trial) {
-    ASSERT_GE(trial, 0);
-    ASSERT_LT(trial, kTrials);
-    ++hits[static_cast<std::size_t>(trial)];
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST_P(RunnerThreadGrid, ChunksSeeTheirOwnIndexAndBounds) {
-  RunnerConfig cfg;
-  cfg.threads = GetParam();
-  cfg.chunk = 4;
-  ParallelRunner runner(cfg);
-  std::mutex mu;
-  std::set<int> seen;
-  runner.for_each_chunk(10, [&](int index, int begin, int end) {
-    EXPECT_EQ(begin, index * 4);
-    EXPECT_EQ(end, std::min(10, begin + 4));
-    const std::lock_guard<std::mutex> lock(mu);
-    EXPECT_TRUE(seen.insert(index).second);
-  });
-  EXPECT_EQ(seen.size(), 3U);
+  for (const int trials : {1, 50, 4096}) {
+    SCOPED_TRACE(trials);
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(trials));
+    runner.for_each_trial(trials, [&](int trial) {
+      ASSERT_GE(trial, 0);
+      ASSERT_LT(trial, trials);
+      ++hits[static_cast<std::size_t>(trial)];
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
 }
 
 TEST_P(RunnerThreadGrid, LowestFailingChunkExceptionWins) {
@@ -124,9 +71,9 @@ TEST_P(RunnerThreadGrid, LowestFailingChunkExceptionWins) {
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
     // Trials 4..15 may all throw concurrently; the runner rethrows the
-    // lowest-indexed chunk that ran and threw. With threads=1 the pool
+    // lowest-indexed trial that ran and threw. With threads=1 the pool
     // runs in order and aborts at the first failure, so the winner is
-    // exactly trial 4; in parallel, later chunks may have started before
+    // exactly trial 4; in parallel, later trials may have started before
     // the abort flag was observed, but trials 0..3 never throw, so the
     // reported index must still be >= 4.
     const std::string what = e.what();
@@ -267,7 +214,7 @@ GraphFactory regular_factory(NodeId n, NodeId d) {
 
 TrialOutcome run_scheme(const SchemeCase& scheme, RunnerConfig runner) {
   TrialConfig cfg;
-  cfg.trials = 9;  // not a multiple of any tested chunk/thread count
+  cfg.trials = 9;  // not a multiple of any tested thread count
   cfg.seed = 0xd373c7;
   cfg.channel = scheme.channel;
   cfg.runner = runner;
@@ -286,41 +233,6 @@ TEST(RunnerDeterminism, RunTrialsIdenticalForThreadCounts) {
       parallel.threads = threads;
       expect_identical(baseline, run_scheme(scheme, parallel));
     }
-  }
-}
-
-TEST(RunnerDeterminism, RunTrialsIdenticalForChunkedScheduling) {
-  for (const SchemeCase& scheme : scheme_cases()) {
-    SCOPED_TRACE(scheme.name);
-    RunnerConfig unchunked;
-    unchunked.threads = 4;
-    unchunked.chunk = 1;
-    const TrialOutcome baseline = run_scheme(scheme, unchunked);
-    for (const int chunk : {2, 4, 100}) {
-      SCOPED_TRACE(chunk);
-      RunnerConfig chunked;
-      chunked.threads = 4;
-      chunked.chunk = chunk;
-      expect_identical(baseline, run_scheme(scheme, chunked));
-    }
-  }
-}
-
-TEST(RunnerDeterminism, DefaultChunkMatchesChunkOne) {
-  // The bounded default chunk (satellite of the batched-engine PR) must
-  // not change any output: chunks are contiguous ascending trial ranges
-  // reduced in chunk order, so per-trial samples enter the Summaries in
-  // trial order for every chunking. threads = 2 over 9 trials defaults to
-  // chunk = 2 — a genuine multi-trial chunk, unlike the old default of 1.
-  for (const SchemeCase& scheme : scheme_cases()) {
-    SCOPED_TRACE(scheme.name);
-    RunnerConfig one;
-    one.threads = 2;
-    one.chunk = 1;
-    const TrialOutcome baseline = run_scheme(scheme, one);
-    RunnerConfig defaulted;
-    defaulted.threads = 2;
-    expect_identical(baseline, run_scheme(scheme, defaulted));
   }
 }
 
@@ -349,7 +261,6 @@ TEST(RunnerDeterminism, TraceSetSizesIdenticalForThreadCountsAndChunks) {
       SCOPED_TRACE(threads);
       RunnerConfig parallel;
       parallel.threads = threads;
-      parallel.chunk = threads == 8 ? 2 : 0;  // also cross chunking in
       expect_identical(baseline, trace_scheme(scheme, parallel));
     }
   }
