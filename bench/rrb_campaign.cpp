@@ -11,35 +11,41 @@
 ///   <out>/timing.jsonl     wall-time side channel (never deterministic,
 ///                          never merged or diffed)
 ///
-/// Results are byte-identical for every --threads value, and an
+/// Cells run in cell order, each cell's trials on the worker pool;
+/// --distribute K fans the cells out across processes instead. Results are
+/// byte-identical for every --threads and --distribute value, and an
 /// interrupted run resumes from the manifest, recomputing only missing
-/// cells. Shards (--shard I/K) write disjoint cell subsets; concatenating
-/// shard manifests into one directory and re-running unsharded merges them
-/// without recomputation.
+/// cells. Shards (--shard I/K) write disjoint cell subsets; merging shard
+/// manifests into one directory (--merge) and re-running unsharded reuses
+/// them without recomputation.
 ///
 /// Usage:
 ///   rrb_campaign [--spec FILE] [--set key=value ...] [--out DIR|none]
-///                [--threads W] [--batch B] [--parallel-cells]
-///                [--shard I/K] [--merge DIR-OR-GLOB ...] [--list] [--quiet]
+///                [--threads W] [--batch B] [--shard I/K]
+///                [--merge DIR-OR-GLOB ...] [--distribute K]
+///                [--respawn-budget N] [--trace FILE] [--list] [--quiet]
 ///
 /// Without --spec, settings start from the built-in defaults; --set
 /// overrides apply on top of the spec in the order given, e.g.
 ///   rrb_campaign --spec bench/campaigns/e1_smalld.campaign
 ///                --set "n = 2^10, 2^12" --set trials=3
 ///
-/// --merge globs shard artifact directories, validates their manifests
-/// against this spec's fingerprint, concatenates their journal lines into
-/// --out, and then runs normally — the run reuses every merged cell and
-/// emits the full artifacts without recomputing anything:
+/// --merge globs shard artifact directories and merges their manifests
+/// into --out through the journal loader (rrb::exp::merge_journals: every
+/// manifest is validated against this spec's fingerprint before a byte is
+/// written, damaged lines are dropped, each cell is taken once), and then
+/// runs normally — the run reuses every merged cell and emits the full
+/// artifacts without recomputing anything:
 ///   rrb_campaign --spec S --shard 0/2 --out shards/s0
 ///   rrb_campaign --spec S --shard 1/2 --out shards/s1
 ///   rrb_campaign --spec S --merge 'shards/s*' --out merged
 ///
-/// --distribute K forks K worker processes over one artifact directory.
-/// Workers claim cells dynamically (one O_CREAT|O_EXCL claim file per
-/// cell — work stealing, not a static split), journal completed cells like
-/// shards do, and are supervised: a crashed worker's claims are released
-/// and it is respawned up to a retry budget, resuming from its journal.
+/// --distribute K (at most 1024) forks min(K, cells) worker processes over
+/// one artifact directory. Workers claim cells dynamically (one
+/// O_CREAT|O_EXCL claim file per cell — work stealing, not a static split),
+/// journal completed cells like shards do, and are supervised: a crashed
+/// worker's claims are released and it is respawned up to a retry budget,
+/// resuming from its journal.
 /// The artifacts are byte-identical to a single-process run for any K and
 /// any crash history — distribution is scheduling, never semantics:
 ///   rrb_campaign --spec S --distribute 4 --threads 1 --out swept
@@ -49,7 +55,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -59,6 +64,7 @@
 #include "rrb/common/table.hpp"
 #include "rrb/exp/campaign.hpp"
 #include "rrb/exp/distribute.hpp"
+#include "rrb/exp/journal.hpp"
 #include "rrb/telemetry/telemetry.hpp"
 
 namespace {
@@ -82,10 +88,10 @@ struct Options {
 void usage() {
   std::cout <<
       "usage: rrb_campaign [--spec FILE] [--set key=value ...] [--out DIR]\n"
-      "                    [--threads W] [--batch B]\n"
-      "                    [--parallel-cells] [--shard I/K]\n"
+      "                    [--threads W] [--batch B] [--shard I/K]\n"
       "                    [--merge DIR-OR-GLOB ...] [--distribute K]\n"
-      "                    [--respawn-budget N] [--list] [--quiet]\n"
+      "                    [--respawn-budget N] [--trace FILE] [--list]\n"
+      "                    [--quiet]\n"
       "\n"
       "  --spec FILE      campaign spec file (key = value lines; see\n"
       "                   bench/campaigns/*.campaign)\n"
@@ -93,24 +99,25 @@ void usage() {
       "                   order after the spec file)\n"
       "  --out DIR        artifact directory (default campaign_<name>;\n"
       "                   'none' runs in memory without artifacts)\n"
-      "  --threads W      worker threads (default 0 = auto: $RRB_THREADS,\n"
-      "                   else hardware cores); never changes the results\n"
+      "  --threads W      worker threads for each cell's trials (default\n"
+      "                   0 = auto: $RRB_THREADS, else hardware cores);\n"
+      "                   never changes the results\n"
       "  --batch B        trials per lockstep engine step on fixed-topology\n"
       "                   paths (default 0 = sequential); same output\n"
-      "  --parallel-cells fan cells (not trials) across the pool — faster\n"
-      "                   for grids of many small cells, same output\n"
       "  --shard I/K      run only cells with index %% K == I\n"
       "  --merge PAT      merge shard manifests into --out before running\n"
       "                   (repeatable; PAT is a directory or a glob whose\n"
       "                   last component may contain '*'). Manifests must\n"
       "                   carry this spec's fingerprint; merged cells are\n"
       "                   reused, not recomputed\n"
-      "  --distribute K   fork K supervised worker processes that claim\n"
-      "                   cells dynamically over --out (crash recovery via\n"
+      "  --distribute K   fan cells out: fork min(K, cells) supervised\n"
+      "                   worker processes (K <= 1024) that claim cells\n"
+      "                   dynamically over --out (crash recovery via\n"
       "                   journals; artifacts byte-identical to K=1)\n"
       "  --respawn-budget N\n"
       "                   total crashed-worker respawns before giving up\n"
-      "                   (default 2*K); leftover cells run in-process\n"
+      "                   (default twice the workers started); leftover\n"
+      "                   cells run in-process\n"
       "  --trace FILE     record a Chrome trace-event JSON (open in Perfetto\n"
       "                   or chrome://tracing) covering the driver, any\n"
       "                   distributed workers, cells, engine kernels and\n"
@@ -162,105 +169,25 @@ std::vector<fs::path> expand_merge_pattern(const std::string& pattern) {
   return matches;
 }
 
-/// Concatenate shard manifests into <out>/manifest.jsonl via the campaign
-/// subsystem's own resume path: every source line whose header fingerprint
-/// matches `fingerprint` is appended verbatim (byte-preserving, so the
-/// subsequent run reuses the cells), other specs' manifests are refused.
-///
-/// Two-phase: every source (and the target, if it already has content) is
-/// validated fully in memory before a single byte is written, so a refused
-/// merge leaves the target directory exactly as it was — no empty or
-/// headerless manifest for a retry to trip over.
-std::size_t merge_manifests(const std::vector<std::string>& patterns,
-                            const std::string& out_dir,
-                            const std::string& fingerprint) {
-  std::vector<fs::path> sources;
+/// Merge the manifests of every shard directory the --merge patterns
+/// expand to into <out>/manifest.jsonl. merge_journals loads and validates
+/// all of them before writing, so a refused merge leaves --out as it was.
+std::size_t merge_shards(const std::vector<std::string>& patterns,
+                         const rrb::exp::CampaignRunner& runner,
+                         const std::string& out_dir) {
+  std::vector<std::string> manifests;
   for (const std::string& pattern : patterns)
-    for (fs::path& dir : expand_merge_pattern(pattern))
-      sources.push_back(std::move(dir));
-
-  // Phase 1a: read and validate the sources.
-  std::string header_line;
-  std::vector<std::string> record_lines;
-  for (const fs::path& dir : sources) {
-    const fs::path manifest = dir / "manifest.jsonl";
-    std::ifstream in(manifest);
-    if (!in)
-      throw std::runtime_error("--merge: " + dir.string() +
-                               " has no manifest.jsonl");
-    std::string line;
-    bool source_verified = false;
-    while (std::getline(in, line)) {
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      const auto parsed = rrb::exp::parse_flat_json(line);
-      if (parsed) {
-        if (const auto fp = parsed->find_plain("fingerprint")) {
-          if (*fp != fingerprint)
-            throw std::runtime_error(
-                "--merge: " + manifest.string() +
-                " was written by a different campaign spec (fingerprint " +
-                std::string(*fp) + ", this spec is " + fingerprint + ")");
-          source_verified = true;
-          if (header_line.empty()) header_line = line;
-          continue;
-        }
-      }
-      // A damaged line — unparseable (e.g. the truncated tail a killed
-      // shard left) or parseable but keyless — must not spread into the
-      // merged manifest; the loader there would only skip it again.
-      if (!parsed || !parsed->find_plain("key")) continue;
-      if (!source_verified)
-        throw std::runtime_error(
-            "--merge: " + manifest.string() +
-            " has cell records before any fingerprint header — cannot "
-            "verify they belong to this spec");
-      record_lines.push_back(line);
+    for (const fs::path& dir : expand_merge_pattern(pattern)) {
+      const fs::path manifest = dir / "manifest.jsonl";
+      if (!fs::is_regular_file(manifest))
+        throw std::runtime_error("--merge: " + dir.string() +
+                                 " has no manifest.jsonl");
+      manifests.push_back(manifest.string());
     }
-  }
-  if (header_line.empty())
-    throw std::runtime_error(
-        "--merge: no source manifest carried a campaign header");
-
-  // Phase 1b: if the target manifest already has content, it must carry a
-  // matching header of its own (an interrupted run of this spec is fine;
-  // anything else would poison the merge).
-  const fs::path out_manifest = fs::path(out_dir) / "manifest.jsonl";
-  bool target_has_header = false;
-  {
-    std::ifstream existing(out_manifest);
-    std::string line;
-    bool has_content = false;
-    while (existing && std::getline(existing, line)) {
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      has_content = true;
-      const auto parsed = rrb::exp::parse_flat_json(line);
-      if (!parsed) continue;
-      if (const auto fp = parsed->find_plain("fingerprint")) {
-        if (*fp != fingerprint)
-          throw std::runtime_error(
-              "--merge: " + out_manifest.string() +
-              " already belongs to a different campaign spec (fingerprint " +
-              std::string(*fp) + ", this spec is " + fingerprint + ")");
-        target_has_header = true;
-        break;
-      }
-    }
-    if (has_content && !target_has_header)
-      throw std::runtime_error(
-          "--merge: " + out_manifest.string() +
-          " holds records but no campaign header — delete it (or restore "
-          "the header) before merging into this directory");
-  }
-
-  // Phase 2: append, writing exactly one header line overall.
-  fs::create_directories(out_dir);
-  std::ofstream out(out_manifest, std::ios::app);
-  if (!out)
-    throw std::runtime_error("--merge: cannot write " +
-                             out_manifest.string());
-  if (!target_has_header) out << header_line << "\n";
-  for (const std::string& line : record_lines) out << line << "\n";
-  return record_lines.size();
+  return rrb::exp::merge_journals(
+      manifests, out_dir + "/manifest.jsonl", runner.spec().name,
+      rrb::exp::to_hex(rrb::exp::spec_fingerprint(runner.spec())),
+      runner.cells().size());
 }
 
 bool parse(int argc, char** argv, Options& opt) {
@@ -282,7 +209,6 @@ bool parse(int argc, char** argv, Options& opt) {
     else if (flag == "--out") opt.out_dir = next();
     else if (flag == "--threads") opt.config.runner.threads = std::stoi(next());
     else if (flag == "--batch") opt.config.runner.batch = std::stoi(next());
-    else if (flag == "--parallel-cells") opt.config.parallel_cells = true;
     else if (flag == "--distribute") opt.distribute = std::stoi(next());
     else if (flag == "--respawn-budget") opt.respawn_budget = std::stoi(next());
     // Hidden: how the driver runs this binary as a claim-loop worker, and
@@ -310,8 +236,10 @@ bool parse(int argc, char** argv, Options& opt) {
     throw std::runtime_error("--threads must be >= 0");
   if (opt.config.runner.batch < 0)
     throw std::runtime_error("--batch must be >= 0");
-  if (opt.distribute < 0)
-    throw std::runtime_error("--distribute must be >= 1");
+  // Checked here, before anything can fork: K bounds the processes started.
+  if (opt.distribute < 0 || opt.distribute > rrb::exp::kMaxWorkers)
+    throw std::runtime_error("--distribute K must be 1 to " +
+                             std::to_string(rrb::exp::kMaxWorkers));
   if (opt.distribute > 0 && opt.config.shard_count > 1)
     throw std::runtime_error(
         "--distribute and --shard do not compose: workers already split the "
@@ -395,13 +323,22 @@ int main(int argc, char** argv) {
     else
       opt.config.out_dir = "campaign_" + spec.name;
 
-    if (!opt.merge_sources.empty() && !opt.list) {
+    exp::CampaignRunner runner(std::move(spec), opt.config);
+
+    if (opt.list) {
+      std::cout << "campaign " << runner.spec().name << ": "
+                << runner.cells().size() << " cells\n";
+      for (const exp::CampaignCell& cell : runner.cells())
+        std::cout << "  [" << cell.index << "] " << cell.key << "  seed "
+                  << exp::to_hex(cell.seed) << "\n";
+      return 0;
+    }
+
+    if (!opt.merge_sources.empty()) {
       if (opt.config.out_dir.empty())
         throw std::runtime_error("--merge needs a persistent --out directory");
-      std::ostringstream fingerprint;
-      fingerprint << "0x" << std::hex << exp::spec_fingerprint(spec);
-      const std::size_t merged = merge_manifests(
-          opt.merge_sources, opt.config.out_dir, fingerprint.str());
+      const std::size_t merged =
+          merge_shards(opt.merge_sources, runner, opt.config.out_dir);
       std::cout << "merged " << merged << " cell records into "
                 << opt.config.out_dir << "/manifest.jsonl\n";
     }
@@ -411,7 +348,8 @@ int main(int argc, char** argv) {
     // in-process run — it reuses every merged cell, computes any cells a
     // permanently-failed worker abandoned, and writes the final artifacts,
     // byte-identical to a single-process run.
-    if (opt.distribute > 0 && !opt.list) {
+    int workers_started = 0;
+    if (opt.distribute > 0) {
       if (opt.config.out_dir.empty())
         throw std::runtime_error(
             "--distribute needs a persistent --out directory");
@@ -423,25 +361,15 @@ int main(int argc, char** argv) {
       dist.quiet = opt.quiet;
       dist.trace = !opt.trace_path.empty();
       dist.crash_worker0_after = opt.worker_crash_after;
-      const exp::DistributeReport report =
-          exp::distribute_campaign(spec, dist, self_exe_path(argv[0]));
-      std::cout << "[distribute] " << opt.distribute << " workers over "
+      const exp::DistributeReport report = exp::distribute_campaign(
+          runner.spec(), dist, self_exe_path(argv[0]));
+      workers_started = report.workers;
+      std::cout << "[distribute] " << report.workers << " workers over "
                 << report.cells << " cells: " << report.merged_after
                 << " computed, " << report.merged_before
                 << " reused from worker journals, " << report.respawns
                 << " respawns, " << report.failed_workers
                 << " workers abandoned\n";
-    }
-
-    exp::CampaignRunner runner(std::move(spec), opt.config);
-
-    if (opt.list) {
-      std::cout << "campaign " << runner.spec().name << ": "
-                << runner.cells().size() << " cells\n";
-      for (const exp::CampaignCell& cell : runner.cells())
-        std::cout << "  [" << cell.index << "] " << cell.key << "  seed 0x"
-                  << std::hex << cell.seed << std::dec << "\n";
-      return 0;
     }
 
     std::cout << "campaign " << runner.spec().name << ": "
@@ -486,14 +414,13 @@ int main(int argc, char** argv) {
     // the whole campaign.
     if (!opt.trace_path.empty()) {
       std::vector<telemetry::Event> events = telemetry::drain();
-      if (opt.distribute > 0 && !opt.config.out_dir.empty())
-        for (int id = 0; id < opt.distribute; ++id) {
-          const std::vector<telemetry::Event> worker_events =
-              telemetry::load_events_jsonl(
-                  exp::worker_events_path(opt.config.out_dir, id));
-          events.insert(events.end(), worker_events.begin(),
-                        worker_events.end());
-        }
+      for (int id = 0; id < workers_started; ++id) {
+        const std::vector<telemetry::Event> worker_events =
+            telemetry::load_events_jsonl(
+                exp::worker_events_path(opt.config.out_dir, id));
+        events.insert(events.end(), worker_events.begin(),
+                      worker_events.end());
+      }
       std::ofstream trace_out(opt.trace_path);
       if (!trace_out)
         throw std::runtime_error("cannot write " + opt.trace_path);

@@ -24,9 +24,11 @@
 /// their per-node distribution digests; observers are read-only, so every
 /// other printed number is unchanged.
 
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "rrb/bigtopo/bigtopo.hpp"
@@ -140,6 +142,24 @@ std::vector<rrb::MetricKind> parse_metric_list(const std::string& list) {
   return selected;
 }
 
+/// --n / --d: decimal digits only, parsed straight into NodeId. from_chars
+/// reports overflow and takes no sign, where stoul plus a cast would wrap
+/// 2^32 + 2 to 2 and read "12x" as 12.
+rrb::NodeId parse_node_count(const std::string& flag,
+                             const std::string& text) {
+  rrb::NodeId value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::result_out_of_range ||
+      (ec == std::errc{} && ptr == end && value > rrb::kMaxNodes))
+    throw std::runtime_error(flag + " " + text +
+                             " exceeds the 2^31 node limit");
+  if (ec != std::errc{} || ptr != end)
+    throw std::runtime_error(flag + " expects a non-negative integer, got: " +
+                             text);
+  return value;
+}
+
 bool parse(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -151,8 +171,8 @@ bool parse(int argc, char** argv, Options& opt) {
     if (flag == "--protocol") opt.protocol = next();
     else if (flag == "--list-schemes") opt.list_schemes = true;
     else if (flag == "--graph") opt.graph = next();
-    else if (flag == "--n") opt.n = static_cast<rrb::NodeId>(std::stoul(next()));
-    else if (flag == "--d") opt.d = static_cast<rrb::NodeId>(std::stoul(next()));
+    else if (flag == "--n") opt.n = parse_node_count(flag, next());
+    else if (flag == "--d") opt.d = parse_node_count(flag, next());
     else if (flag == "--choices") opt.choices = std::stoi(next());
     else if (flag == "--memory") opt.memory = std::stoi(next());
     else if (flag == "--quasirandom") opt.quasirandom = true;

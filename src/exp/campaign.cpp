@@ -4,9 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <mutex>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -27,12 +25,6 @@
 namespace rrb::exp {
 
 namespace {
-
-[[nodiscard]] std::string to_hex(std::uint64_t value) {
-  std::ostringstream os;
-  os << "0x" << std::hex << value;
-  return os.str();
-}
 
 /// The facade options a cell translates to. The per-run seed fields are
 /// irrelevant here: trial randomness comes from Rng(cell.seed).fork(trial).
@@ -335,94 +327,53 @@ CampaignOutcome CampaignRunner::run(const CellProgress& progress) {
   }
 
   // Timing side channel (see campaign.hpp): wall time per freshly computed
-  // cell, appended in completion order. Deliberately kept out of the
+  // cell, appended in cell order. Deliberately kept out of the
   // manifest/results so the deterministic artifacts stay byte-identical
   // whatever the hardware did; a failed open just disables the channel.
+  // Wall-clock reads go through telemetry::now_us — the audited side-channel
+  // entry point (ROADMAP telemetry invariant): the value feeds only the
+  // timing.jsonl line below, never the deterministic records.
   std::ofstream timing_out;
   if (persist) {
     outcome.timing_path = config_.out_dir + "/timing.jsonl";
     timing_out.open(outcome.timing_path, std::ios::app);
   }
-  // Wall-clock reads go through telemetry::now_us — the audited side-channel
-  // entry point (ROADMAP telemetry invariant): the value feeds only the
-  // timing.jsonl line below, never the deterministic records.
-  const auto timing_now = [] { return telemetry::now_us(); };
-  const auto elapsed_ms = [](std::int64_t start_us, std::int64_t end_us) {
-    return static_cast<double>(end_us - start_us) / 1000.0;
-  };
-  std::vector<double> wall_ms(mine.size(), 0.0);
-  auto record_timing = [&](std::size_t i) {
-    if (!timing_out || outcome.cells[i].reused) return;
-    const double ms = wall_ms[i];
-    JsonObject line;
-    line.set("key", outcome.cells[i].cell.key)
-        .set("wall_ms", ms)
-        .set("trials", spec_.trials)
-        .set("trials_per_s",
-             ms > 0.0 ? static_cast<double>(spec_.trials) / (ms / 1000.0)
-                      : 0.0)
-        .set("peak_rss_bytes", telemetry::peak_rss_bytes());
-    timing_out << line.to_line() << "\n" << std::flush;
-  };
 
-  // ---- Fill slots: reuse journal records, collect the cells still to run.
+  // ---- Cells in cell order, each cell's trials fanned out on the pool
+  // (distribute_campaign fans cells out across processes instead). A
+  // journal record is reused; a fresh record streams one flushed journal
+  // line before the progress callback runs, so however the run dies
+  // afterwards the cell is already resumable.
   outcome.cells.resize(mine.size());
-  std::vector<std::size_t> missing;
   for (std::size_t i = 0; i < mine.size(); ++i) {
     CellResult& slot = outcome.cells[i];
     slot.cell = *mine[i];
-    const auto found = journal.find(mine[i]->key);
-    if (found != journal.end()) {
+    if (const auto found = journal.find(slot.cell.key);
+        found != journal.end()) {
       slot.record = found->second;
       slot.reused = true;
+      ++outcome.reused;
     } else {
-      missing.push_back(i);
-    }
-  }
-
-  // Stream one journal line per freshly completed cell; flushed before the
-  // progress callback runs, so however the run dies afterwards the cell is
-  // already resumable.
-  auto complete = [&](std::size_t i) {
-    if (persist && !outcome.cells[i].reused)
-      journal_out->append(outcome.cells[i].record);
-    record_timing(i);
-    if (progress) progress(outcome.cells[i]);
-  };
-
-  if (!config_.parallel_cells) {
-    // Cells in cell order; each cell's trials fan out on the pool.
-    for (std::size_t i = 0; i < mine.size(); ++i) {
-      if (!outcome.cells[i].reused) {
-        const std::int64_t start = timing_now();
-        outcome.cells[i].record = run_cell(spec_, *mine[i], config_.runner);
-        wall_ms[i] = elapsed_ms(start, timing_now());
+      const std::int64_t start_us = telemetry::now_us();
+      slot.record = run_cell(spec_, slot.cell, config_.runner);
+      const double ms =
+          static_cast<double>(telemetry::now_us() - start_us) / 1000.0;
+      ++outcome.computed;
+      if (persist) journal_out->append(slot.record);
+      if (timing_out.is_open()) {
+        JsonObject line;
+        line.set("key", slot.cell.key)
+            .set("wall_ms", ms)
+            .set("trials", spec_.trials)
+            .set("trials_per_s",
+                 ms > 0.0 ? static_cast<double>(spec_.trials) / (ms / 1000.0)
+                          : 0.0)
+            .set("peak_rss_bytes", telemetry::peak_rss_bytes());
+        timing_out << line.to_line() << "\n" << std::flush;
       }
-      complete(i);
     }
-  } else {
-    // Cells fan out on the pool; each cell's trials run sequentially.
-    // Identical output either way — records are pure in (spec, cell) and
-    // the slots below are reduced in cell order.
-    for (std::size_t i = 0; i < mine.size(); ++i)
-      if (outcome.cells[i].reused) complete(i);
-    RunnerConfig inner;
-    inner.threads = 1;
-    std::mutex mutex;
-    ParallelRunner pool(config_.runner);
-    pool.for_each_trial(static_cast<int>(missing.size()), [&](int j) {
-      const std::size_t i = missing[static_cast<std::size_t>(j)];
-      const std::int64_t start = timing_now();
-      JsonObject record = run_cell(spec_, *mine[i], inner);
-      const double ms = elapsed_ms(start, timing_now());
-      const std::lock_guard<std::mutex> lock(mutex);
-      outcome.cells[i].record = std::move(record);
-      wall_ms[i] = ms;
-      complete(i);
-    });
+    if (progress) progress(slot);
   }
-  outcome.computed = missing.size();
-  outcome.reused = mine.size() - missing.size();
 
   // ---- Final artifacts, rewritten in cell order. Byte-identical for any
   // thread count, shard replay, or interrupt/resume history. The stream

@@ -8,7 +8,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -30,12 +29,6 @@ namespace rrb::exp {
 namespace fs = std::filesystem;
 
 namespace {
-
-[[nodiscard]] std::string to_hex(std::uint64_t value) {
-  std::ostringstream os;
-  os << "0x" << std::hex << value;
-  return os.str();
-}
 
 [[nodiscard]] std::string owner_name(int worker_id) {
   return "w" + std::to_string(worker_id);
@@ -65,12 +58,8 @@ void write_heartbeat(const std::string& path, std::size_t journal_cells) {
   return true;
 }
 
-/// Merge every record of every `<out>/workers/w*.jsonl` journal that the
-/// campaign manifest does not already hold into the manifest (validating
-/// each journal's fingerprint header on load). Worker journals are visited
-/// in sorted path order and each journal's records in key order, so the
-/// appended lines are deterministic given the same set of journals; the
-/// final artifacts never depend on manifest line order anyway.
+/// Merge every `<out>/workers/*.jsonl` journal, in sorted path order, into
+/// the campaign manifest.
 std::size_t merge_worker_journals(const CampaignSpec& spec,
                                   const std::string& out_dir,
                                   const std::string& fingerprint,
@@ -82,24 +71,8 @@ std::size_t merge_worker_journals(const CampaignSpec& spec,
       if (entry.path().extension() == ".jsonl")
         journal_paths.push_back(entry.path().string());
   std::sort(journal_paths.begin(), journal_paths.end());
-  if (journal_paths.empty()) return 0;
-
-  const std::string manifest_path = out_dir + "/manifest.jsonl";
-  Journal manifest = load_journal(manifest_path, fingerprint);
-  JournalWriter writer(manifest_path, manifest, spec.name, fingerprint,
-                       total_cells);
-  std::size_t merged = 0;
-  for (const std::string& path : journal_paths) {
-    const Journal journal = load_journal(path, fingerprint);
-    for (const auto& [key, record] : journal.records) {
-      if (manifest.records.count(key) != 0) continue;  // duplicate cell:
-      // identical bytes by purity, so keeping the first is arbitrary-safe
-      writer.append(record);
-      manifest.records.emplace(key, record);
-      ++merged;
-    }
-  }
-  return merged;
+  return merge_journals(journal_paths, out_dir + "/manifest.jsonl", spec.name,
+                        fingerprint, total_cells);
 }
 
 }  // namespace
@@ -308,14 +281,20 @@ namespace {
 DistributeReport distribute_campaign(const CampaignSpec& spec,
                                      const DistributeConfig& config,
                                      const std::string& exe_path) {
-  if (config.workers < 1)
-    throw std::runtime_error("--distribute needs at least one worker");
+  if (config.workers < 1 || config.workers > kMaxWorkers)
+    throw std::runtime_error("--distribute needs 1 to " +
+                             std::to_string(kMaxWorkers) + " workers");
   if (config.out_dir.empty())
     throw std::runtime_error("--distribute needs --out");
 
   DistributeReport report;
   const std::vector<CampaignCell> cells = expand_cells(spec);
   report.cells = cells.size();
+  // At most one worker per cell: a larger fleet would only start processes
+  // that find nothing to claim.
+  const int workers = static_cast<int>(
+      std::min(static_cast<std::size_t>(config.workers), cells.size()));
+  report.workers = workers;
   const std::string fingerprint = to_hex(spec_fingerprint(spec));
 
   fs::create_directories(config.out_dir + "/workers");
@@ -333,7 +312,7 @@ DistributeReport distribute_campaign(const CampaignSpec& spec,
   // Stale side-channel files would pollute this run's progress/trace:
   // heartbeats are per-run liveness, and a --trace merge must not pick up a
   // previous run's events. Journals are never touched here.
-  for (int id = 0; id < config.workers; ++id) {
+  for (int id = 0; id < workers; ++id) {
     std::error_code ec;
     fs::remove(worker_heartbeat_path(config.out_dir, id), ec);
   }
@@ -363,12 +342,12 @@ DistributeReport distribute_campaign(const CampaignSpec& spec,
   claims.clear();
 
   const int budget =
-      config.respawn_budget >= 0 ? config.respawn_budget : 2 * config.workers;
+      config.respawn_budget >= 0 ? config.respawn_budget : 2 * workers;
 
   std::map<pid_t, int> alive;  // pid -> worker id
   {
     const telemetry::Span spawn_span("distribute", "spawn_workers");
-    for (int id = 0; id < config.workers; ++id) {
+    for (int id = 0; id < workers; ++id) {
       const pid_t pid = spawn_worker(exe_path, id, config);
       alive.emplace(pid, id);
       if (!config.quiet)
@@ -403,7 +382,7 @@ DistributeReport distribute_campaign(const CampaignSpec& spec,
       alive_ids.insert(id);
     }
     std::size_t increments = 0;
-    for (int id = 0; id < config.workers; ++id) {
+    for (int id = 0; id < workers; ++id) {
       WorkerWatch& w = watch[id];
       std::size_t hb_cells = 0;
       std::int64_t hb_ts = 0;

@@ -35,24 +35,23 @@
 ///    trajectory the way bench_micro_engine's BENCH_*.json does.
 ///    Determinism diffs (CI, tests) must never include this file.
 ///
+/// Cells run one after another in cell order, each cell's trials on the
+/// worker pool. Cells fan out across processes instead through
+/// distribute_campaign (distribute.hpp, `rrb_campaign --distribute K`).
+///
 /// Sharding: `shard_index/shard_count` restricts a run to cells with
 /// `index % shard_count == shard_index`. Shards write to separate
-/// directories; concatenating their manifests into one directory and
-/// re-running unsharded reuses every line and emits the full artifacts
-/// without recomputing anything — the plug-in point for distributed cells.
+/// directories; merging their manifests into one directory (merge_journals
+/// in journal.hpp, `rrb_campaign --merge`) and re-running unsharded reuses
+/// every record and emits the full artifacts without recomputing anything.
 
 namespace rrb::exp {
 
 /// Execution knobs. None of these affect the recorded numbers.
 struct CampaignConfig {
-  /// Worker pool for each cell's trials (and for the cell loop when
-  /// parallel_cells is set). Defaults resolve via $RRB_THREADS.
+  /// Worker pool for each cell's trials; cells themselves run in cell
+  /// order. Defaults resolve via $RRB_THREADS.
   RunnerConfig runner;
-
-  /// Fan the *cells* out across the pool (each cell's trials then run
-  /// sequentially) instead of running cells in order with parallel trials.
-  /// Better for grids of many small cells; output is identical either way.
-  bool parallel_cells = false;
 
   int shard_index = 0;
   int shard_count = 1;
@@ -83,10 +82,10 @@ struct CampaignOutcome {
                                   ///< in-memory runs (see timing.jsonl above)
 };
 
-/// Streamed per-cell completion callback. Invoked in completion order
-/// (== cell order unless parallel_cells), after the cell's journal line
-/// has been flushed. Throwing aborts the run; completed cells stay in the
-/// journal, so a later run resumes where this one stopped.
+/// Streamed per-cell completion callback. Invoked in cell order, after a
+/// freshly computed cell's journal line has been flushed. Throwing aborts
+/// the run; completed cells stay in the journal, so a later run resumes
+/// where this one stopped.
 using CellProgress = std::function<void(const CellResult&)>;
 
 class CampaignRunner {

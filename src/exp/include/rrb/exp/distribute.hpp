@@ -9,8 +9,8 @@
 /// \file distribute.hpp
 /// Process-level campaign executor: `rrb_campaign --distribute K`.
 ///
-/// The driver forks K worker processes (the same binary in a hidden
-/// `--worker I` mode) over one campaign directory. Workers claim cells
+/// The driver forks min(K, cells) worker processes (the same binary in a
+/// hidden `--worker I` mode) over one campaign directory. Workers claim cells
 /// *dynamically* through an atomic claim protocol — one O_CREAT|O_EXCL
 /// file per cell under `<out>/claims/` — so there is no static shard
 /// split and stragglers never serialise the run: a worker that finishes
@@ -22,9 +22,10 @@
 ///    unfinished claims released — cells its journal already holds stay
 ///    done — and is respawned up to a retry budget, resuming from its own
 ///    journal;
-///  * worker journals are merged (fingerprint-validated, deduplicated)
-///    into `<out>/manifest.jsonl` before spawning (so a restarted driver
-///    reuses earlier work) and after all workers finish;
+///  * worker journals are merged into `<out>/manifest.jsonl` by
+///    merge_journals (journal.hpp: fingerprint-validated, deduplicated)
+///    before spawning (so a restarted driver reuses earlier work) and
+///    after all workers finish;
 ///  * the caller then runs the ordinary CampaignRunner over the merged
 ///    manifest, which reuses every journal line, computes any cells a
 ///    permanently-failed worker left behind, and writes the final
@@ -120,13 +121,19 @@ struct WorkerConfig {
 /// it. Returns the number of cells computed in this life.
 std::size_t run_worker(const CampaignSpec& spec, const WorkerConfig& config);
 
+/// Largest `--distribute K` accepted: a bound on the processes one driver
+/// may start, checked before anything is forked.
+inline constexpr int kMaxWorkers = 1024;
+
 /// Driver knobs for `--distribute K`.
 struct DistributeConfig {
+  /// Requested worker processes, 1..kMaxWorkers. The driver starts
+  /// min(workers, cells) of them.
   int workers = 2;
 
   /// Total respawns across all workers before the driver stops reviving a
   /// dying fleet; cells left behind fall to the caller's final
-  /// CampaignRunner pass. < 0 = 2 * workers.
+  /// CampaignRunner pass. < 0 = twice the number of workers started.
   int respawn_budget = -1;
 
   RunnerConfig runner;  ///< forwarded to every worker (--threads and
@@ -152,6 +159,7 @@ struct DistributeConfig {
 /// this — it feeds progress output only.
 struct DistributeReport {
   std::size_t cells = 0;             ///< full grid size
+  int workers = 0;                   ///< processes started: min(K, cells)
   std::size_t merged_before = 0;     ///< records reused from prior runs
   std::size_t merged_after = 0;      ///< fresh worker records merged
   int respawns = 0;
@@ -159,11 +167,11 @@ struct DistributeReport {
   std::size_t stragglers_flagged = 0;  ///< heartbeat timeouts observed
 };
 
-/// Spawn `config.workers` processes of `exe_path` in `--worker` mode over
-/// `config.out_dir`, supervise them (reclaim + respawn on abnormal exit),
-/// and merge their journals into the campaign manifest. The final
-/// artifact pass stays with the caller: run CampaignRunner over the same
-/// directory afterwards — it reuses every merged cell and writes
+/// Spawn min(`config.workers`, cells) processes of `exe_path` in
+/// `--worker` mode over `config.out_dir`, supervise them (reclaim + respawn
+/// on abnormal exit), and merge their journals into the campaign manifest.
+/// The final artifact pass stays with the caller: run CampaignRunner over
+/// the same directory afterwards — it reuses every merged cell and writes
 /// results/CSV/meta byte-identically to a single-process run.
 ///
 /// Throws std::runtime_error on invalid configuration, spawn failure, or

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "rrb/exp/artifact.hpp"
 
@@ -11,7 +12,8 @@
 /// The manifest-journal file format shared by campaign resume, shard
 /// merging and the distributed executor's workers: an append-only JSONL
 /// file holding one header line (naming the campaign and its spec
-/// fingerprint) followed by one flushed line per completed cell.
+/// fingerprint) followed by one flushed line per completed cell. This
+/// header is the only code that reads or writes the format.
 ///
 /// Loading is crash-tolerant by construction. A process killed mid-write
 /// leaves a truncated final line; such a line fails to parse as flat JSON
@@ -32,8 +34,7 @@ struct Journal {
   /// anyway, being pure in (spec, cell).
   std::map<std::string, JsonObject> records;
 
-  bool saw_header = false;   ///< a fingerprint header line was present
-  bool has_content = false;  ///< any non-blank line at all
+  bool saw_header = false;  ///< a fingerprint header line was present
 
   /// Byte size of the clean prefix: everything up to and including the
   /// newline of the last complete line. Smaller than the file size exactly
@@ -75,5 +76,23 @@ class JournalWriter {
  private:
   std::ofstream out_;
 };
+
+/// Merge the journals at `sources` into the journal at `target` (`rrb_campaign
+/// --merge` and the distributed driver's worker-journal merge). Two-phase:
+/// every source and the target are loaded with load_journal first, so a
+/// foreign fingerprint or headerless records throw before a single byte is
+/// written and a refused merge leaves the target as it was. Then every
+/// record the target lacks is appended through JournalWriter — sources in
+/// the given order, each source's records in key order, a cell held by
+/// several sources taken once (the records are identical, being pure in
+/// (spec, cell)). Damaged lines, such as a killed writer's truncated tail,
+/// are skipped on load and never reach the target. Creates the target's
+/// directory when there is something to append. Returns the number of
+/// records appended.
+std::size_t merge_journals(const std::vector<std::string>& sources,
+                           const std::string& target,
+                           const std::string& campaign_name,
+                           const std::string& fingerprint,
+                           std::size_t total_cells);
 
 }  // namespace rrb::exp

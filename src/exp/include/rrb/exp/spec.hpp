@@ -196,6 +196,10 @@ struct CampaignCell {
 /// refused instead of silently mixing incompatible cells.
 [[nodiscard]] std::uint64_t spec_fingerprint(const CampaignSpec& spec);
 
+/// `0x`-prefixed lowercase hex, the spelling of fingerprints and seeds in
+/// manifests, records and campaign.json.
+[[nodiscard]] std::string to_hex(std::uint64_t value);
+
 /// Apply one `key = value` setting (also the --set flag of rrb_campaign).
 /// List-valued keys take comma-separated values; integers accept 0x-hex
 /// and a 2^k power shorthand. Throws std::runtime_error on unknown keys or

@@ -30,7 +30,6 @@ Journal load_journal(const std::string& path, const std::string& fingerprint) {
     if (complete) journal.clean_size = consumed;
 
     if (blank(line)) continue;
-    journal.has_content = true;
     auto parsed = parse_flat_json(line);
     if (!parsed) {
       ++journal.skipped;  // damaged or truncated: the cell just recomputes
@@ -41,7 +40,7 @@ Journal load_journal(const std::string& path, const std::string& fingerprint) {
         throw std::runtime_error(
             path + " was written by a different campaign spec (fingerprint " +
             std::string(*fp) + ", this spec is " + fingerprint +
-            ") — refusing to resume into it");
+            ") — refusing to reuse its records");
       journal.saw_header = true;
       continue;
     }
@@ -102,6 +101,35 @@ JournalWriter::JournalWriter(const std::string& path, const Journal& journal,
 
 void JournalWriter::append(const JsonObject& record) {
   out_ << record.to_line() << "\n" << std::flush;
+}
+
+std::size_t merge_journals(const std::vector<std::string>& sources,
+                           const std::string& target,
+                           const std::string& campaign_name,
+                           const std::string& fingerprint,
+                           std::size_t total_cells) {
+  // Phase 1: load (and so validate) everything before writing anything.
+  Journal merged = load_journal(target, fingerprint);
+  std::vector<Journal> loaded;
+  loaded.reserve(sources.size());
+  for (const std::string& source : sources)
+    loaded.push_back(load_journal(source, fingerprint));
+
+  std::vector<const JsonObject*> fresh;
+  for (const Journal& journal : loaded)
+    for (const auto& [key, record] : journal.records)
+      if (merged.records.try_emplace(key).second) fresh.push_back(&record);
+  if (fresh.empty()) return 0;
+
+  // Phase 2: append. `merged` still carries the target's own header flag
+  // and clean size, which is all the writer reads.
+  const std::filesystem::path parent =
+      std::filesystem::path(target).parent_path();
+  if (!parent.empty()) std::filesystem::create_directories(parent);
+  JournalWriter writer(target, merged, campaign_name, fingerprint,
+                       total_cells);
+  for (const JsonObject* record : fresh) writer.append(*record);
+  return fresh.size();
 }
 
 }  // namespace rrb::exp

@@ -432,6 +432,13 @@ std::uint64_t spec_fingerprint(const CampaignSpec& spec) {
   return hash_string(describe(spec) + std::string(kRecordSchema));
 }
 
+std::string to_hex(std::uint64_t value) {
+  char digits[16];
+  char* const end =
+      std::to_chars(digits, digits + sizeof digits, value, 16).ptr;
+  return "0x" + std::string(digits, end);
+}
+
 void apply_setting(CampaignSpec& spec, std::string_view key,
                    std::string_view value) {
   key = trim(key);

@@ -1,13 +1,10 @@
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "rrb/common/runner_config.hpp"
-#include "rrb/graph/graph.hpp"
 #include "rrb/phonecall/engine.hpp"
-#include "rrb/rng/rng.hpp"
+#include "rrb/sim/trial.hpp"
 
 /// \file trace.hpp
 /// Per-round set-size traces averaged over trials: the raw material for the
@@ -52,17 +49,14 @@ struct TraceConfig {
   RunnerConfig runner;           ///< worker pool; never changes the output
 };
 
-/// Protocol factory as in trial.hpp, but graphs are provided by the caller
-/// per trial via the factory to keep the probability space identical.
-using TraceProtocolFactory =
-    std::function<std::unique_ptr<BroadcastProtocol>(const Graph&)>;
-using TraceGraphFactory = std::function<Graph(Rng&)>;
-
-/// Run trials and average the per-round set sizes. The trace length is the
-/// maximum round count across trials; trials that stopped earlier
-/// contribute their final state to later rounds (the sets are monotone).
+/// Run trials, each on a fresh graph from `graph_factory` (the same
+/// probability space as run_trials), and average the per-round set sizes.
+/// The trace length is the maximum round count across trials. Each round is
+/// averaged over the trials that reached it: a trial that stopped earlier
+/// contributes nothing to later rounds, so late rounds are means over the
+/// surviving trials only.
 [[nodiscard]] std::vector<SetTracePoint> trace_set_sizes(
-    const TraceGraphFactory& graph_factory,
-    const TraceProtocolFactory& protocol_factory, const TraceConfig& config);
+    const GraphFactory& graph_factory, const ProtocolFactory& protocol_factory,
+    const TraceConfig& config);
 
 }  // namespace rrb

@@ -70,8 +70,8 @@ std::vector<SetTracePoint> trace_points(const TraceObservers& observers,
 }  // namespace
 
 std::vector<SetTracePoint> trace_set_sizes(
-    const TraceGraphFactory& graph_factory,
-    const TraceProtocolFactory& protocol_factory, const TraceConfig& config) {
+    const GraphFactory& graph_factory, const ProtocolFactory& protocol_factory,
+    const TraceConfig& config) {
   RRB_REQUIRE(config.trials >= 1, "need at least one trial");
 
   // Every trial runs through the trial executor, a uniform source drawn

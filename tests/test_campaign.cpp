@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "rrb/exp/journal.hpp"
 #include "rrb/exp/spec.hpp"
 #include "rrb/graph/generators.hpp"
 #include "rrb/rng/rng.hpp"
@@ -429,11 +430,9 @@ struct ArtifactBytes {
 };
 
 ArtifactBytes run_to_dir(const CampaignSpec& spec, const std::string& dir,
-                         int threads, bool parallel_cells = false,
-                         const CellProgress& progress = {}) {
+                         int threads, const CellProgress& progress = {}) {
   CampaignConfig config;
   config.runner.threads = threads;
-  config.parallel_cells = parallel_cells;
   config.out_dir = dir;
   CampaignRunner runner(spec, config);
   const CampaignOutcome outcome = runner.run(progress);
@@ -450,20 +449,14 @@ TEST(CampaignDeterminism, ArtifactsAreByteIdenticalAcrossThreadCounts) {
   const ArtifactBytes t1 = run_to_dir(spec, temp_dir("t1"), 1);
   const ArtifactBytes t2 = run_to_dir(spec, temp_dir("t2"), 2);
   const ArtifactBytes t8 = run_to_dir(spec, temp_dir("t8"), 8);
-  const ArtifactBytes cells =
-      run_to_dir(spec, temp_dir("cells"), 4, /*parallel_cells=*/true);
 
+  // Cell fan-out across processes (--distribute) is pinned by the
+  // smoke.rrb_campaign.dist_identical fixture in bench/CMakeLists.txt.
   EXPECT_EQ(t1.results_json, t2.results_json);
   EXPECT_EQ(t1.results_json, t8.results_json);
-  EXPECT_EQ(t1.results_json, cells.results_json);
   EXPECT_EQ(t1.results_csv, t2.results_csv);
-  EXPECT_EQ(t1.results_csv, cells.results_csv);
   EXPECT_EQ(t1.meta, t2.meta);
-  EXPECT_EQ(t1.meta, cells.meta);
-  // The manifest's line *order* is completion order (scheduling-dependent
-  // under parallel_cells); its content is not.
   EXPECT_EQ(t1.manifest, t2.manifest);
-  EXPECT_EQ(sorted_lines(t1.manifest), sorted_lines(cells.manifest));
 }
 
 TEST(CampaignDeterminism, InterruptedRunResumesBitIdentically) {
@@ -475,7 +468,7 @@ TEST(CampaignDeterminism, InterruptedRunResumesBitIdentically) {
   const std::string dir = temp_dir("interrupted");
   int computed = 0;
   EXPECT_THROW(
-      (void)run_to_dir(spec, dir, 2, false,
+      (void)run_to_dir(spec, dir, 2,
                        [&computed](const CellResult& cell) {
                          if (!cell.reused && ++computed == 2)
                            throw std::runtime_error("simulated interrupt");
@@ -531,6 +524,7 @@ TEST(CampaignDeterminism, ShardManifestsMergeWithoutRecomputation) {
   const ArtifactBytes full = run_to_dir(spec, temp_dir("unsharded"), 2);
 
   std::string merged_manifest;
+  std::vector<std::string> shard_manifests;
   for (int shard = 0; shard < 2; ++shard) {
     const std::string dir = temp_dir("shard" + std::to_string(shard));
     CampaignConfig config;
@@ -541,18 +535,31 @@ TEST(CampaignDeterminism, ShardManifestsMergeWithoutRecomputation) {
     const CampaignOutcome outcome = CampaignRunner(spec, config).run();
     EXPECT_EQ(outcome.cells.size(), 2U);
     merged_manifest += read_file(outcome.manifest_path);
+    shard_manifests.push_back(outcome.manifest_path);
   }
 
-  const std::string merged_dir = temp_dir("merged");
-  fs::create_directories(merged_dir);
-  std::ofstream(merged_dir + "/manifest.jsonl") << merged_manifest;
-  CampaignConfig config;
-  config.out_dir = merged_dir;
-  const CampaignOutcome outcome = CampaignRunner(spec, config).run();
-  EXPECT_EQ(outcome.computed, 0U);
-  EXPECT_EQ(outcome.reused, 4U);
-  EXPECT_EQ(read_file(outcome.results_json_path), full.results_json);
-  EXPECT_EQ(read_file(outcome.results_csv_path), full.results_csv);
+  // Two ways into one directory: the shard manifests concatenated by hand,
+  // and merged through merge_journals (the path of rrb_campaign --merge).
+  const std::string concatenated_dir = temp_dir("merged");
+  fs::create_directories(concatenated_dir);
+  std::ofstream(concatenated_dir + "/manifest.jsonl") << merged_manifest;
+  const std::string journal_merged_dir = temp_dir("merged_journals");
+  EXPECT_EQ(merge_journals(shard_manifests,
+                           journal_merged_dir + "/manifest.jsonl", spec.name,
+                           to_hex(spec_fingerprint(spec)),
+                           expand_cells(spec).size()),
+            4U);
+
+  for (const std::string& merged_dir :
+       {concatenated_dir, journal_merged_dir}) {
+    CampaignConfig config;
+    config.out_dir = merged_dir;
+    const CampaignOutcome outcome = CampaignRunner(spec, config).run();
+    EXPECT_EQ(outcome.computed, 0U) << merged_dir;
+    EXPECT_EQ(outcome.reused, 4U) << merged_dir;
+    EXPECT_EQ(read_file(outcome.results_json_path), full.results_json);
+    EXPECT_EQ(read_file(outcome.results_csv_path), full.results_csv);
+  }
 }
 
 TEST(CampaignDeterminism, ShardRunOverFullDirectoryKeepsAllResults) {

@@ -16,9 +16,9 @@
 #include "rrb/exp/spec.hpp"
 
 /// Distributed-executor tests: the atomic cell-claim protocol, the
-/// crash-tolerant journal loader/writer (truncated-tail repair), and the
-/// worker claim loop — everything of `rrb_campaign --distribute K` that
-/// does not require fork/exec of the real binary. The process-level
+/// crash-tolerant journal loader, writer (truncated-tail repair) and merge,
+/// and the worker claim loop — everything of `rrb_campaign --distribute K`
+/// that does not require fork/exec of the real binary. The process-level
 /// driver (spawn, supervise, respawn, merge) is exercised end-to-end by
 /// the CTest fixtures in bench/CMakeLists.txt.
 
@@ -60,9 +60,7 @@ std::string temp_dir(const std::string& tag) {
 }
 
 std::string fingerprint_of(const CampaignSpec& spec) {
-  std::ostringstream os;
-  os << "0x" << std::hex << spec_fingerprint(spec);
-  return os.str();
+  return to_hex(spec_fingerprint(spec));
 }
 
 /// The three deterministic artifacts (results + meta; the manifest is
@@ -197,7 +195,47 @@ TEST(Journal, RefusesForeignFingerprintAndHeaderlessRecords) {
   write_file(headerless, "{\"key\": \"a\", \"v\": 1}\n");
   EXPECT_THROW((void)load_journal(headerless, "0xf"), std::runtime_error);
 
-  EXPECT_FALSE(load_journal(dir + "/missing.jsonl", "0xf").has_content);
+  const Journal missing = load_journal(dir + "/missing.jsonl", "0xf");
+  EXPECT_TRUE(missing.records.empty());
+  EXPECT_FALSE(missing.saw_header);
+}
+
+TEST(Journal, MergeRefusesForeignSourcesAndDropsTruncatedTails) {
+  const std::string dir = temp_dir("journal_merge");
+  fs::create_directories(dir);
+  const std::string header =
+      "{\"campaign\": \"x\", \"fingerprint\": \"0xf\", \"cells\": 3}\n";
+  const std::string target = dir + "/manifest.jsonl";
+  const std::string target_bytes = header + "{\"key\": \"a\", \"v\": 1}\n";
+  write_file(target, target_bytes);
+  const std::string good = dir + "/good.jsonl";
+  write_file(good, header + "{\"key\": \"b\", \"v\": 2}\n");
+
+  // Another spec's journal, or records without a header, are refused
+  // before a single byte is written — even behind a valid source.
+  const std::string foreign = dir + "/foreign.jsonl";
+  write_file(foreign,
+             "{\"campaign\": \"y\", \"fingerprint\": \"0xbad\"}\n"
+             "{\"key\": \"c\", \"v\": 3}\n");
+  EXPECT_THROW((void)merge_journals({good, foreign}, target, "x", "0xf", 3),
+               std::runtime_error);
+  EXPECT_EQ(read_file(target), target_bytes);
+  const std::string headerless = dir + "/headerless.jsonl";
+  write_file(headerless, "{\"key\": \"c\", \"v\": 3}\n");
+  EXPECT_THROW((void)merge_journals({good, headerless}, target, "x", "0xf", 3),
+               std::runtime_error);
+  EXPECT_EQ(read_file(target), target_bytes);
+
+  // A killed writer's truncated final line is skipped and never reaches the
+  // target; a cell the target already holds is not appended again.
+  const std::string truncated = dir + "/truncated.jsonl";
+  write_file(truncated, header + "{\"key\": \"a\", \"v\": 1}\n" +
+                            "{\"key\": \"c\", \"v\"");
+  EXPECT_EQ(merge_journals({good, truncated}, target, "x", "0xf", 3), 1U);
+  EXPECT_EQ(read_file(target), target_bytes + "{\"key\": \"b\", \"v\": 2}\n");
+  const Journal merged = load_journal(target, "0xf");
+  EXPECT_EQ(merged.records.size(), 2U);
+  EXPECT_EQ(merged.skipped, 0U);
 }
 
 /// The satellite hardening test: truncate the campaign manifest at every
