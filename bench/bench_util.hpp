@@ -24,13 +24,13 @@
 #include "rrb/exp/artifact.hpp"
 #include "rrb/exp/campaign.hpp"
 #include "rrb/graph/generators.hpp"
+#include "rrb/parallel/runner.hpp"
 #include "rrb/phonecall/engine.hpp"
 #include "rrb/protocols/baselines.hpp"
 #include "rrb/protocols/four_choice.hpp"
 #include "rrb/protocols/median_counter.hpp"
 #include "rrb/protocols/sequentialised.hpp"
 #include "rrb/protocols/throttled.hpp"
-#include "rrb/sim/runner.hpp"
 #include "rrb/sim/trace.hpp"
 #include "rrb/sim/trial.hpp"
 #include "rrb/telemetry/telemetry.hpp"

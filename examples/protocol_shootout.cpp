@@ -8,11 +8,11 @@
 
 #include "rrb/common/table.hpp"
 #include "rrb/graph/generators.hpp"
+#include "rrb/parallel/runner.hpp"
 #include "rrb/protocols/baselines.hpp"
 #include "rrb/protocols/four_choice.hpp"
 #include "rrb/protocols/median_counter.hpp"
 #include "rrb/protocols/sequentialised.hpp"
-#include "rrb/sim/runner.hpp"
 #include "rrb/sim/trial.hpp"
 
 int main() {

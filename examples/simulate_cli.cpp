@@ -39,7 +39,7 @@
 #include "rrb/graph/generators.hpp"
 #include "rrb/graph/io.hpp"
 #include "rrb/metrics/registry.hpp"
-#include "rrb/sim/runner.hpp"
+#include "rrb/parallel/runner.hpp"
 #include "rrb/sim/trial.hpp"
 #include "rrb/telemetry/telemetry.hpp"
 
@@ -91,10 +91,10 @@ void usage() {
       "random start\n"
       "               instead of sampling. Mutually exclusive with a "
       "positive --memory.\n"
-      "  --threads W  worker threads for the trial runner (default 0 = "
-      "auto:\n"
-      "               $RRB_THREADS if set, else one per hardware core; 1 = "
-      "sequential).\n"
+      "  --threads W  worker threads for the trial runner and the chunked\n"
+      "               generators (default 0 = auto: $RRB_THREADS if set, "
+      "else one\n"
+      "               per hardware core; 1 = sequential).\n"
       "               Results are identical for every W — only wall-clock "
       "time changes.\n"
       "  --json PATH  also write the summaries as a JSON report (shared "
@@ -257,6 +257,7 @@ int main(int argc, char** argv) {
       params.n = opt.n;
       params.d = opt.d;
       params.seed = rng.next_u64();
+      params.threads = opt.runner.threads;
       return out_links ? bigtopo::chunked_random_out(params)
                        : bigtopo::chunked_configuration_model(params);
     };

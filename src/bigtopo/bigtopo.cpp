@@ -1,10 +1,13 @@
 #include "rrb/bigtopo/bigtopo.hpp"
 
 #include <algorithm>
+#include <array>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "rrb/common/check.hpp"
+#include "rrb/parallel/runner.hpp"
 #include "rrb/rng/rng.hpp"
 #include "rrb/telemetry/telemetry.hpp"
 
@@ -73,14 +76,60 @@ void validate_order(NodeId n, std::span<const NodeId> order) {
   }
 }
 
-/// RSS sample attached to a span's args — telemetry side channel only.
-void sample_rss(telemetry::Span& span) {
+/// RSS sample attached to a span's args, plus the phase's worker count and
+/// stub count when `workers` is positive (so ns/stub and the thread count
+/// read straight off a trace) — telemetry side channel only.
+void sample_rss(telemetry::Span& span, int workers = 0,
+                std::uint64_t stubs = 0) {
   if (!span.active()) return;
-  span.set_args(
+  std::string args =
       "{\"current_rss_bytes\":" +
       std::to_string(telemetry::current_rss_bytes()) +
-      ",\"peak_rss_bytes\":" + std::to_string(telemetry::peak_rss_bytes()) +
-      "}");
+      ",\"peak_rss_bytes\":" + std::to_string(telemetry::peak_rss_bytes());
+  if (workers > 0)
+    args += ",\"threads\":" + std::to_string(workers) +
+            ",\"stubs\":" + std::to_string(stubs);
+  span.set_args(args + "}");
+}
+
+/// Pairs per block of the configuration-model fill and nodes per block of
+/// the per-node sort. The block grid is fixed (never derived from the
+/// thread count); every block writes only its own slots.
+constexpr std::uint64_t kFillBlockPairs = std::uint64_t{1} << 16;
+constexpr std::uint64_t kSortBlockNodes = kChunkNodes;
+/// Pairs whose stubs one inverse_range call walks at a time.
+constexpr std::uint64_t kWalkPairs = 128;
+
+/// fn(begin, end) over [0, count) in fixed blocks of `block`, on the pool.
+/// Returns the number of workers that ran.
+template <class Fn>
+int for_each_block(const ParallelRunner& pool, std::uint64_t count,
+                   std::uint64_t block, const Fn& fn) {
+  const std::uint64_t blocks = (count + block - 1) / block;
+  RRB_REQUIRE(blocks <= static_cast<std::uint64_t>(
+                            std::numeric_limits<int>::max()),
+              "bigtopo: too many blocks for the worker pool");
+  const auto num_blocks = static_cast<int>(blocks);
+  pool.for_each_trial(num_blocks, [&](int b) {
+    const std::uint64_t begin = static_cast<std::uint64_t>(b) * block;
+    fn(begin, std::min(begin + block, count));
+  });
+  return pool.workers_for(num_blocks);
+}
+
+/// Sorts every node's adjacency bucket (Graph guarantees sorted lists: the
+/// canonical per-node order) in node blocks on the pool. Returns the
+/// number of workers that ran.
+int sort_buckets(const ParallelRunner& pool, const std::vector<Count>& offsets,
+                 std::vector<NodeId>& adjacency) {
+  const std::uint64_t n = offsets.size() - 1;
+  return for_each_block(
+      pool, n, kSortBlockNodes, [&](std::uint64_t begin, std::uint64_t end) {
+        for (std::uint64_t v = begin; v < end; ++v)
+          std::sort(
+              adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
+              adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
+      });
 }
 
 }  // namespace
@@ -136,17 +185,24 @@ std::uint64_t StubPermutation::encrypt_once(std::uint64_t x) const {
   return (left << half_bits_) | right;
 }
 
-std::uint64_t StubPermutation::decrypt_once(std::uint64_t y) const {
-  std::uint64_t left = y >> half_bits_;
-  std::uint64_t right = y & half_mask_;
-  for (int r = kRounds - 1; r >= 0; --r) {
-    const std::uint64_t f =
-        mix64(left + keys_[static_cast<std::size_t>(r)]) & half_mask_;
-    const std::uint64_t prev_left = right ^ f;
-    right = left;
-    left = prev_left;
+template <int kLanes>
+void StubPermutation::decrypt_lanes(std::uint64_t* v) const {
+  std::array<std::uint64_t, kLanes> left{};
+  std::array<std::uint64_t, kLanes> right{};
+  for (int j = 0; j < kLanes; ++j) {
+    left[j] = v[j] >> half_bits_;
+    right[j] = v[j] & half_mask_;
   }
-  return (left << half_bits_) | right;
+  for (int r = kRounds - 1; r >= 0; --r) {
+    const std::uint64_t key = keys_[static_cast<std::size_t>(r)];
+    for (int j = 0; j < kLanes; ++j) {
+      const std::uint64_t prev_left =
+          right[j] ^ (mix64(left[j] + key) & half_mask_);
+      right[j] = left[j];
+      left[j] = prev_left;
+    }
+  }
+  for (int j = 0; j < kLanes; ++j) v[j] = (left[j] << half_bits_) | right[j];
 }
 
 std::uint64_t StubPermutation::forward(std::uint64_t x) const {
@@ -158,9 +214,47 @@ std::uint64_t StubPermutation::forward(std::uint64_t x) const {
 
 std::uint64_t StubPermutation::inverse(std::uint64_t y) const {
   RRB_REQUIRE(y < domain_, "StubPermutation::inverse: out of domain");
-  std::uint64_t x = decrypt_once(y);
-  while (x >= domain_) x = decrypt_once(x);
+  std::uint64_t x = y;
+  do {
+    decrypt_lanes<1>(&x);
+  } while (x >= domain_);
   return x;
+}
+
+void StubPermutation::inverse_range(std::uint64_t first,
+                                    std::span<std::uint64_t> out) const {
+  RRB_REQUIRE(first <= domain_ && out.size() <= domain_ - first,
+              "StubPermutation::inverse_range: out of domain");
+  // Tiles of positions: every still-walking value takes one decryption per
+  // sweep, eight lanes at a time, and is written to its slot; the values
+  // that left the domain stay on the worklist. A slot's last write is its
+  // in-domain preimage, exactly what inverse() returns. Lanes past
+  // `pending` in a sweep's last group decrypt stale entries nobody reads.
+  constexpr std::size_t kLanes = 8;
+  constexpr std::size_t kTile = 256;
+  static_assert(kTile % kLanes == 0);
+  std::array<std::uint64_t, kTile> walk{};
+  std::array<std::uint32_t, kTile> slot{};
+  for (std::size_t base = 0; base < out.size(); base += kTile) {
+    const std::size_t count = std::min(kTile, out.size() - base);
+    for (std::size_t i = 0; i < count; ++i) {
+      walk[i] = first + base + i;
+      slot[i] = static_cast<std::uint32_t>(i);
+    }
+    for (std::size_t pending = count; pending > 0;) {
+      for (std::size_t j = 0; j < pending; j += kLanes)
+        decrypt_lanes<kLanes>(walk.data() + j);
+      std::size_t next = 0;
+      for (std::size_t j = 0; j < pending; ++j) {
+        const std::uint64_t x = walk[j];
+        out[base + slot[j]] = x;
+        walk[next] = x;
+        slot[next] = slot[j];
+        next += x >= domain_ ? 1 : 0;
+      }
+      pending = next;
+    }
+  }
 }
 
 std::uint64_t estimate_configuration_model_bytes(NodeId n, NodeId d) {
@@ -172,27 +266,20 @@ std::uint64_t estimate_random_out_bytes(NodeId n, NodeId d) {
 }
 
 Graph chunked_configuration_model(const ChunkedParams& params) {
-  const std::vector<NodeId> order = identity_order(params.n);
-  return chunked_configuration_model(params, order);
-}
-
-Graph chunked_configuration_model(const ChunkedParams& params,
-                                  std::span<const NodeId> chunk_order) {
   const NodeId n = params.n;
   const NodeId d = params.d;
   const std::uint64_t stubs = stub_count(n, d);
   RRB_REQUIRE(stubs % 2 == 0, "chunked_configuration_model: n*d must be even");
-  validate_order(n, chunk_order);
   enforce_budget(params, estimate_configuration_model_bytes(n, d),
                  "chunked_configuration_model");
+  const ParallelRunner pool(RunnerConfig{.threads = params.threads});
 
   telemetry::Span total_span("bigtopo", "config-model");
 
-  // The pairing: stub s partners with the stub at the XOR-1 position of
-  // the permuted order. Each adjacency slot is slot-addressed (stub s of
-  // node v = offset v*d + j lands at CSR index v*d + j), so the fill below
-  // is a pure function of (seed, slot) — chunk execution order cannot
-  // change a byte.
+  // The pairing: the stubs at permuted positions 2q and 2q+1 are partners.
+  // Stub s of node v (s = v*d + j) lands at CSR index s, so every slot is a
+  // pure function of (seed, slot) and the thread count cannot change a
+  // byte.
   const StubPermutation perm(
       derive_seed(params.seed, hash_string("bigtopo/pairing")), stubs);
 
@@ -203,29 +290,31 @@ Graph chunked_configuration_model(const ChunkedParams& params,
   std::vector<NodeId> adjacency(stubs);
 
   {
+    // Walk the permuted positions, one inverse per stub: pair q's stubs
+    // are the preimages of 2q and 2q+1, taken kWalkPairs pairs at a time
+    // through inverse_range. Pairs write disjoint slots.
     telemetry::Span fill_span("bigtopo", "config-model/fill");
-    for (const NodeId c : chunk_order) {
-      const ChunkRange range = canonical_chunk_range(n, c);
-      for (NodeId v = range.begin; v < range.end; ++v) {
-        const std::uint64_t first = static_cast<std::uint64_t>(v) * d;
-        for (NodeId j = 0; j < d; ++j) {
-          const std::uint64_t partner =
-              perm.inverse(perm.forward(first + j) ^ 1);
-          adjacency[first + j] = static_cast<NodeId>(partner / d);
-        }
-      }
-    }
-    sample_rss(fill_span);
+    const int workers = for_each_block(
+        pool, stubs / 2, kFillBlockPairs,
+        [&](std::uint64_t begin, std::uint64_t end) {
+          std::array<std::uint64_t, 2 * kWalkPairs> walked{};
+          for (std::uint64_t q0 = begin; q0 < end; q0 += kWalkPairs) {
+            const std::uint64_t pairs = std::min(kWalkPairs, end - q0);
+            const std::span<std::uint64_t> stub_at(walked.data(), 2 * pairs);
+            perm.inverse_range(2 * q0, stub_at);
+            for (std::uint64_t k = 0; k < 2 * pairs; k += 2) {
+              adjacency[stub_at[k]] = static_cast<NodeId>(stub_at[k + 1] / d);
+              adjacency[stub_at[k + 1]] = static_cast<NodeId>(stub_at[k] / d);
+            }
+          }
+        });
+    sample_rss(fill_span, workers, stubs);
   }
 
   {
-    // Canonical per-node order: Graph guarantees sorted adjacency lists.
     telemetry::Span sort_span("bigtopo", "config-model/sort");
-    for (NodeId v = 0; v < n; ++v)
-      std::sort(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-                adjacency.begin() +
-                    static_cast<std::ptrdiff_t>(offsets[v + 1]));
-    sample_rss(sort_span);
+    const int workers = sort_buckets(pool, offsets, adjacency);
+    sample_rss(sort_span, workers, stubs);
   }
 
   Graph graph = Graph::from_csr(std::move(offsets), std::move(adjacency));
@@ -247,6 +336,7 @@ Graph chunked_random_out(const ChunkedParams& params,
   validate_order(n, chunk_order);
   enforce_budget(params, estimate_random_out_bytes(n, d),
                  "chunked_random_out");
+  const ParallelRunner pool(RunnerConfig{.threads = params.threads});
 
   telemetry::Span total_span("bigtopo", "random-out");
 
@@ -275,7 +365,7 @@ Graph chunked_random_out(const ChunkedParams& params,
     }
     for (NodeId v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
     RRB_ASSERT(offsets[n] == 2 * stubs, "random-out: stub conservation");
-    sample_rss(count_span);
+    sample_rss(count_span, 1, stubs);
   }
 
   // Pass 2 — in-place bucket fill: offsets[v] doubles as v's write cursor
@@ -296,7 +386,7 @@ Graph chunked_random_out(const ChunkedParams& params,
     }
     for (NodeId v = n; v > 0; --v) offsets[v] = offsets[v - 1];
     offsets[0] = 0;
-    sample_rss(fill_span);
+    sample_rss(fill_span, 1, stubs);
   }
 
   {
@@ -304,11 +394,8 @@ Graph chunked_random_out(const ChunkedParams& params,
     // bucket canonicalises the bytes (and satisfies Graph's sorted-list
     // invariant), making the output order-independent.
     telemetry::Span sort_span("bigtopo", "random-out/sort");
-    for (NodeId v = 0; v < n; ++v)
-      std::sort(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-                adjacency.begin() +
-                    static_cast<std::ptrdiff_t>(offsets[v + 1]));
-    sample_rss(sort_span);
+    const int workers = sort_buckets(pool, offsets, adjacency);
+    sample_rss(sort_span, workers, stubs);
   }
 
   Graph graph = Graph::from_csr(std::move(offsets), std::move(adjacency));

@@ -21,51 +21,60 @@
 ///
 /// Chunking contract
 /// -----------------
-/// The node range is partitioned into *canonical* chunks of kChunkNodes
-/// nodes each — a fixed grid that is part of the output's identity, NOT a
-/// tuning knob. Chunk `c`'s randomness derives as
+/// Each generator's output is a pure function of (n, d, seed). How the work
+/// is scheduled — the thread count, which block or chunk runs when — is
+/// execution policy, like the memory budget, and never changes a byte.
 ///
-///     Rng(chunk_seed(seed, c))     with  chunk_seed = derive_seed
-///
-/// — the same discipline as the trial contract (trial i runs on
-/// Rng(seed).fork(i)), golden-pinned in tests/test_bigtopo.cpp. The order
-/// in which canonical chunks execute is scheduling, never semantics: the
-/// produced graph is byte-identical for every chunk execution order
-/// (pinned in tests/test_bigtopo.cpp through the `chunk_order` overloads).
-///
-/// Two generators are provided:
 ///  - chunked_configuration_model: the paper's §1.2 pairing model, exact
 ///    d-regular multigraph semantics (self-loops and parallel edges kept).
-///    A sequential per-chunk RNG stream cannot produce a *global* uniform
-///    stub pairing without a global shuffle (which is exactly the O(n·d)
+///    A sequential RNG stream cannot produce a *global* uniform stub
+///    pairing without a global shuffle (which is exactly the O(n·d)
 ///    scratch this module exists to avoid), so the pairing is realised as a
 ///    seed-keyed pseudorandom permutation over stub indices
-///    (StubPermutation): stub s is matched with the stub occupying the
-///    adjacent position in the permuted order. Each adjacency slot is then
-///    a pure function of (seed, slot) — trivially order-independent, with
-///    zero scratch.
-///  - chunked_random_out: each node draws d out-partners from its canonical
-///    chunk's Rng(chunk_seed(seed, c)) stream; the undirected union has
-///    irregular degrees, so the CSR is assembled by the classical two-pass
-///    build (count-degrees pass, then in-place bucket fill over the offset
-///    array used as cursors) with no edge list and no cursor array.
+///    (StubPermutation): the stubs at permuted positions 2q and 2q+1 are
+///    partners. Every adjacency slot is then a pure function of (seed,
+///    slot). The fill walks the pair index q in fixed blocks on the worker
+///    pool (one permutation inverse per stub, disjoint writes), and the
+///    per-node sort runs in fixed node blocks the same way.
+///  - chunked_random_out: the node range is partitioned into *canonical*
+///    chunks of kChunkNodes nodes — a fixed grid that is part of the
+///    output's identity, NOT a tuning knob. Chunk c's randomness derives as
+///
+///        Rng(chunk_seed(seed, c))     with  chunk_seed = derive_seed
+///
+///    — the same discipline as the trial contract (trial i runs on
+///    Rng(seed).fork(i)), golden-pinned in tests/test_bigtopo.cpp. Each
+///    node draws d out-partners from its chunk's stream; the undirected
+///    union has irregular degrees, so the CSR is assembled by the classical
+///    two-pass build (count-degrees pass, then in-place bucket fill over
+///    the offset array used as cursors) with no edge list and no cursor
+///    array. The two passes replay the chunks in order on the calling
+///    thread (relaxed atomic counts and cursors on the pool measured
+///    slower than that: the passes are bound by the draws and by locked
+///    increments on cache-missing lines); the per-bucket sort runs on the
+///    pool and canonicalises the bytes, so the output is identical for
+///    every chunk execution order (pinned through the `chunk_order`
+///    overload) and every thread count.
 ///
 /// Telemetry: both generators wrap their phases in rrb::telemetry spans
-/// (category "bigtopo") and sample current/peak RSS into the span args.
-/// Side channel only — the produced graph bytes never depend on telemetry
-/// (ROADMAP telemetry invariant).
+/// (category "bigtopo") and sample current/peak RSS into the span args; the
+/// fill, count and sort phases add `threads` (the workers that ran) and
+/// `stubs` (n·d), so ns/stub reads straight off a trace. Side channel
+/// only — the produced graph bytes never depend on telemetry (ROADMAP
+/// telemetry invariant).
 
 namespace rrb::bigtopo {
 
 /// Canonical chunk width in nodes. Fixed: the chunk grid is part of the
-/// generated graph's identity (chunk c covers nodes [c*kChunkNodes,
+/// random-out graph's identity (chunk c covers nodes [c*kChunkNodes,
 /// (c+1)*kChunkNodes) ∩ [0, n)), so outputs never depend on how the
 /// chunks are scheduled.
 inline constexpr NodeId kChunkNodes = NodeId{1} << 14;
 
 /// Seed of canonical chunk `chunk_id` under `seed`: derive_seed(seed,
 /// chunk_id) — the chunk-level twin of the trial contract. Golden-pinned
-/// in tests/test_bigtopo.cpp; changing it invalidates every chunked graph.
+/// in tests/test_bigtopo.cpp; changing it invalidates every random-out
+/// graph.
 [[nodiscard]] std::uint64_t chunk_seed(std::uint64_t seed,
                                        std::uint64_t chunk_id);
 
@@ -98,9 +107,18 @@ class StubPermutation {
   /// The preimage of y (y < domain()): inverse(forward(x)) == x.
   [[nodiscard]] std::uint64_t inverse(std::uint64_t y) const;
 
+  /// out[i] = inverse(first + i) for every i (first + out.size() <=
+  /// domain()). The cycle-walks of neighbouring positions run side by side
+  /// in lanes, so their Feistel chains overlap instead of waiting on each
+  /// other: the same values at several times the throughput of one
+  /// inverse() per position.
+  void inverse_range(std::uint64_t first, std::span<std::uint64_t> out) const;
+
  private:
   [[nodiscard]] std::uint64_t encrypt_once(std::uint64_t x) const;
-  [[nodiscard]] std::uint64_t decrypt_once(std::uint64_t y) const;
+  /// One decryption of each of the kLanes values at v, rounds interleaved.
+  template <int kLanes>
+  void decrypt_lanes(std::uint64_t* v) const;
 
   static constexpr int kRounds = 8;
   std::uint64_t domain_ = 0;
@@ -110,8 +128,9 @@ class StubPermutation {
 };
 
 /// Parameters of a chunked generation run. `n`, `d` and `seed` are the
-/// output's identity; `memory_budget_bytes` is execution policy and
-/// changes no byte of the result.
+/// output's identity; `memory_budget_bytes` and `threads` are execution
+/// policy and change no byte of the result (neither reaches a describe(),
+/// a cell key or a fingerprint).
 struct ChunkedParams {
   NodeId n = 0;  ///< nodes
   NodeId d = 0;  ///< configuration-model degree / out-links per node
@@ -120,6 +139,11 @@ struct ChunkedParams {
   /// Refuse (RRB_REQUIRE) to generate when the estimated peak exceeds this
   /// many bytes; 0 disables the check.
   std::uint64_t memory_budget_bytes = 0;
+
+  /// Worker threads: 0 = ParallelRunner::resolve_threads (RRB_THREADS, else
+  /// one per core); 1 = inline. A call from inside a pool worker (a
+  /// parallel trial) runs inline on that worker. Must be >= 0.
+  int threads = 0;
 };
 
 /// Estimated peak bytes of chunked_configuration_model(n, d): one CSR of
@@ -142,12 +166,6 @@ struct ChunkedParams {
 /// broadcast scheme run on it unchanged.
 [[nodiscard]] Graph chunked_configuration_model(const ChunkedParams& params);
 
-/// As above, processing the canonical chunks in the given execution order
-/// (a permutation of [0, num_canonical_chunks(n))). Output is byte-
-/// identical for every order — exposed so tests can pin that.
-[[nodiscard]] Graph chunked_configuration_model(
-    const ChunkedParams& params, std::span<const NodeId> chunk_order);
-
 /// Random "d-out" overlay graph: every node draws d out-partners (uniform
 /// over the other n-1 nodes; repeats allowed, self excluded) from its
 /// canonical chunk's Rng(chunk_seed(seed, c)) stream, and the undirected
@@ -158,8 +176,9 @@ struct ChunkedParams {
 /// d < n.
 [[nodiscard]] Graph chunked_random_out(const ChunkedParams& params);
 
-/// As above with an explicit canonical-chunk execution order; byte-
-/// identical output for every order.
+/// As above with an explicit canonical-chunk execution order (a
+/// permutation of [0, num_canonical_chunks(n))); byte-identical output for
+/// every order — exposed so tests can pin that.
 [[nodiscard]] Graph chunked_random_out(const ChunkedParams& params,
                                        std::span<const NodeId> chunk_order);
 

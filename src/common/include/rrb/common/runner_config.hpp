@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file runner_config.hpp
-/// Scheduling knobs for the parallel trial runner (rrb/sim/runner.hpp).
+/// Scheduling knobs for the parallel trial runner (rrb/parallel/runner.hpp).
 ///
 /// The struct lives in common — below every other module — so that option
 /// structs anywhere in the stack (TrialConfig, TraceConfig,

@@ -15,10 +15,10 @@
 #include "rrb/metrics/registry.hpp"
 #include "rrb/p2p/churn.hpp"
 #include "rrb/p2p/overlay.hpp"
+#include "rrb/parallel/runner.hpp"
 #include "rrb/phonecall/engine.hpp"
 #include "rrb/rng/rng.hpp"
 #include "rrb/sim/aggregate.hpp"
-#include "rrb/sim/runner.hpp"
 #include "rrb/sim/trial.hpp"
 #include "rrb/telemetry/telemetry.hpp"
 
@@ -55,7 +55,10 @@ namespace {
   return shape;
 }
 
-[[nodiscard]] GraphFactory graph_factory_for(const CampaignCell& cell) {
+/// `threads` caps the chunked generator's pool like the cell's trial runner
+/// (inside a parallel trial the generator runs inline on its worker).
+[[nodiscard]] GraphFactory graph_factory_for(const CampaignCell& cell,
+                                             int threads) {
   const NodeId n = cell.n;
   const NodeId d = cell.d;
   switch (cell.graph) {
@@ -78,11 +81,12 @@ namespace {
       // The chunked generator is seeded from the trial stream (one draw),
       // so its per-trial identity follows the same (cell_seed, trial)
       // contract as every stateful generator.
-      return [n, d](Rng& rng) {
+      return [n, d, threads](Rng& rng) {
         bigtopo::ChunkedParams params;
         params.n = n;
         params.d = d;
         params.seed = rng.next_u64();
+        params.threads = threads;
         return bigtopo::chunked_configuration_model(params);
       };
     }
@@ -159,7 +163,8 @@ void run_static_cell(const CampaignSpec& spec, const CampaignCell& cell,
   options.trials = spec.trials;
   options.runner = trial_runner;
   const NodeId source = spec.random_source ? kNoNode : 0;
-  const GraphFactory graph_factory = graph_factory_for(cell);
+  const GraphFactory graph_factory =
+      graph_factory_for(cell, trial_runner.threads);
 
   if (spec.metrics.empty()) {
     set_static_columns(record,

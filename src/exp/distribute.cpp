@@ -31,7 +31,9 @@ namespace fs = std::filesystem;
 namespace {
 
 [[nodiscard]] std::string owner_name(int worker_id) {
-  return "w" + std::to_string(worker_id);
+  std::string name = "w";  // append-style: see JsonObject::set
+  name += std::to_string(worker_id);
+  return name;
 }
 
 /// Truncate-rewrite a worker heartbeat: "<own journal cells> <monotonic µs>".

@@ -42,7 +42,15 @@ class JsonObject {
   };
 
   JsonObject& set(const std::string& key, const std::string& value) {
-    fields_.push_back({key, "\"" + json_escape(value) + "\"", value});
+    // Built append-style: GCC 12 at -O3 flags the operator+ chain with a
+    // false-positive -Wrestrict.
+    const std::string escaped = json_escape(value);
+    std::string json;
+    json.reserve(escaped.size() + 2);
+    json += '"';
+    json += escaped;
+    json += '"';
+    fields_.push_back({key, std::move(json), value});
     return *this;
   }
   JsonObject& set(const std::string& key, const char* value) {

@@ -5,11 +5,13 @@
 #include "rrb/common/runner_config.hpp"
 
 /// \file runner.hpp
-/// Deterministic parallel trial runner.
+/// Deterministic parallel runner: the one worker pool of the library.
 ///
-/// Executes trial bodies across a worker pool with dynamic (shared-counter)
-/// scheduling: each worker claims the next trial index until none are
-/// left. The runner guarantees nothing about *execution* order; callers
+/// Executes indexed bodies (trials of a sweep, fixed blocks of a topology
+/// generator) across a worker pool with dynamic (shared-counter)
+/// scheduling: each worker claims the next index until none are left. The
+/// module sits below sim and bigtopo and depends on common and telemetry
+/// only. The runner guarantees nothing about *execution* order; callers
 /// obtain thread-count-independent results by following the seeding
 /// contract:
 ///
@@ -35,15 +37,22 @@ class ParallelRunner {
   /// core (minimum 1).
   [[nodiscard]] static int resolve_threads(const RunnerConfig& config);
 
+  /// Workers a for_each_trial over `trials` indices would start from this
+  /// thread: min(trials, resolve_threads()), or 1 inside a pool worker.
+  [[nodiscard]] int workers_for(int trials) const;
+
   /// Invoke fn(trial) once per trial in [0, trials), concurrently on up to
   /// resolve_threads() workers (inline on the calling thread when one
-  /// worker suffices). fn runs on multiple threads at once and must only
-  /// touch trial-local state. If trials throw, the remaining trials are
-  /// abandoned, the pool drains, and the exception of the lowest-indexed
-  /// trial that ran and threw is rethrown. *Which* trials run before the
-  /// abort flag is observed is schedule-dependent, so with several
-  /// concurrent failures the rethrown exception can differ between runs;
-  /// with threads = 1 it is always the first failing trial.
+  /// worker suffices). A call made from inside a pool worker also runs
+  /// inline on that worker, so nested pools (a chunked topology generated
+  /// inside a parallel trial) never multiply the thread count. fn runs on
+  /// multiple threads at once and must only touch trial-local state. If
+  /// trials throw, the remaining trials are abandoned, the pool drains,
+  /// and the exception of the lowest-indexed trial that ran and threw is
+  /// rethrown. *Which* trials run before the abort flag is observed is
+  /// schedule-dependent, so with several concurrent failures the rethrown
+  /// exception can differ between runs; with threads = 1 it is always the
+  /// first failing trial.
   void for_each_trial(int trials, const std::function<void(int)>& fn) const;
 
  private:

@@ -1,4 +1,4 @@
-#include "rrb/sim/runner.hpp"
+#include "rrb/parallel/runner.hpp"
 
 #include <algorithm>
 #include <atomic>
@@ -30,6 +30,10 @@ int env_threads() {
   return static_cast<int>(v);
 }
 
+/// Set on every pool worker for its lifetime: a for_each_trial reached from
+/// inside a worker runs inline instead of starting a nested pool.
+thread_local bool t_pool_worker = false;
+
 }  // namespace
 
 ParallelRunner::ParallelRunner(RunnerConfig config) : config_(config) {
@@ -44,13 +48,17 @@ int ParallelRunner::resolve_threads(const RunnerConfig& config) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+int ParallelRunner::workers_for(int trials) const {
+  return t_pool_worker ? 1 : std::min(trials, resolve_threads(config_));
+}
+
 void ParallelRunner::for_each_trial(
     int trials, const std::function<void(int)>& fn) const {
   RRB_REQUIRE(trials >= 0, "trials must be >= 0");
   RRB_REQUIRE(fn != nullptr, "for_each_trial needs a callable");
   if (trials == 0) return;
 
-  const int workers = std::min(trials, resolve_threads(config_));
+  const int workers = workers_for(trials);
 
   telemetry::Span pool_span("runner", "for_each_trial");
   if (pool_span.active())
@@ -72,6 +80,7 @@ void ParallelRunner::for_each_trial(
   int error_trial = trials;
   std::exception_ptr error;
   const auto work = [&]() {
+    t_pool_worker = true;
     while (!abort.load(std::memory_order_relaxed)) {
       const int trial = next.fetch_add(1, std::memory_order_relaxed);
       if (trial >= trials) return;

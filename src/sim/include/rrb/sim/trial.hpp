@@ -14,13 +14,13 @@
 #include "rrb/core/scheme_dispatch.hpp"
 #include "rrb/graph/graph.hpp"
 #include "rrb/metrics/observer.hpp"
+#include "rrb/parallel/runner.hpp"
 #include "rrb/phonecall/batched_engine.hpp"
 #include "rrb/phonecall/engine.hpp"
 #include "rrb/phonecall/protocol.hpp"
 #include "rrb/phonecall/result.hpp"
 #include "rrb/rng/rng.hpp"
 #include "rrb/sim/aggregate.hpp"
-#include "rrb/sim/runner.hpp"
 
 /// \file trial.hpp
 /// Repeated-trial experiment driver: runs a protocol from a random source,
@@ -32,7 +32,7 @@
 /// a different graph source (a fixed Graph or a GraphFactory), protocol
 /// source (a scheme through with_scheme, or a ProtocolFactory) and observer
 /// factory (detail::NoMetrics for the bare overloads). Trials execute on
-/// the deterministic parallel runner (rrb/sim/runner.hpp): trial i draws
+/// the deterministic parallel runner (rrb/parallel/runner.hpp): trial i draws
 /// every random bit from Rng(seed).fork(i), writes only its own slot, and
 /// the slots are reduced in trial order by detail::reduce_runs, so the
 /// outcome is bit-identical for any RunnerConfig.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -11,6 +12,7 @@
 #include <mutex>
 #include <ostream>
 #include <sstream>
+#include <system_error>
 #include <utility>
 
 namespace rrb::telemetry {
@@ -174,21 +176,15 @@ bool parse_json_string(Cursor& c, std::string& out) {
   return false;
 }
 
+/// A JSON integer (optional '-', digits). A value outside int64_t fails
+/// the parse, and so rejects the line, instead of wrapping.
 bool parse_json_int(Cursor& c, std::int64_t& out) {
   c.skip_ws();
-  const std::size_t start = c.i;
-  if (!c.done() && (c.peek() == '-' || c.peek() == '+')) ++c.i;
-  while (!c.done() && std::isdigit(static_cast<unsigned char>(c.peek()))) ++c.i;
-  if (c.i == start) return false;
-  out = 0;
-  bool negative = false;
-  for (std::size_t k = start; k < c.i; ++k) {
-    const char ch = c.text[k];
-    if (ch == '-') negative = true;
-    else if (ch != '+')
-      out = out * 10 + (ch - '0');
-  }
-  if (negative) out = -out;
+  const char* first = c.text.data() + c.i;
+  const char* last = c.text.data() + c.text.size();
+  const auto [end, ec] = std::from_chars(first, last, out);
+  if (ec != std::errc{}) return false;
+  c.i += static_cast<std::size_t>(end - first);
   return true;
 }
 

@@ -3,14 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "rrb/core/broadcast.hpp"
 #include "rrb/graph/graph.hpp"
+#include "rrb/parallel/runner.hpp"
 #include "rrb/rng/rng.hpp"
 
 namespace rrb::bigtopo {
@@ -96,6 +100,25 @@ TEST(BigtopoPermutation, BijectiveOnAssortedDomains) {
   }
 }
 
+// inverse_range walks many positions in interleaved lanes; every value
+// must be exactly inverse()'s, across tile boundaries and partial lanes.
+TEST(BigtopoPermutation, InverseRangeMatchesInverse) {
+  for (const std::uint64_t domain : {2ULL, 3ULL, 97ULL, 1000ULL, 16389ULL}) {
+    const StubPermutation perm(0x5eed, domain);
+    for (const std::uint64_t first :
+         {std::uint64_t{0}, std::uint64_t{1}, domain / 3}) {
+      std::vector<std::uint64_t> out(domain - first);
+      perm.inverse_range(first, out);
+      for (std::uint64_t i = 0; i < out.size(); ++i)
+        ASSERT_EQ(out[i], perm.inverse(first + i)) << domain << " " << first;
+    }
+    std::vector<std::uint64_t> none;
+    perm.inverse_range(domain, none);  // an empty range at the end is fine
+    std::vector<std::uint64_t> past(2);
+    EXPECT_THROW(perm.inverse_range(domain - 1, past), std::logic_error);
+  }
+}
+
 TEST(BigtopoPermutation, SeedChangesThePermutation) {
   const StubPermutation a(1, 4096);
   const StubPermutation b(2, 4096);
@@ -123,25 +146,6 @@ TEST(BigtopoConfigModel, ExactRegularMultigraphSemantics) {
   ASSERT_TRUE(g.regular_degree().has_value());
   EXPECT_EQ(*g.regular_degree(), 4U);
   EXPECT_EQ(g.num_edges(), 2048U * 4 / 2);
-}
-
-TEST(BigtopoConfigModel, ByteIdenticalForEveryChunkOrder) {
-  const ChunkedParams params{.n = 3 * kChunkNodes, .d = 3, .seed = 0xb16};
-  const std::uint64_t reference =
-      graph_digest(chunked_configuration_model(params));
-
-  std::vector<NodeId> order(num_canonical_chunks(params.n));
-  std::iota(order.begin(), order.end(), NodeId{0});
-  std::reverse(order.begin(), order.end());
-  EXPECT_EQ(graph_digest(chunked_configuration_model(params, order)),
-            reference);
-
-  // A deterministic shuffle (Rng, not std::shuffle — platform-pinned).
-  Rng rng(42);
-  for (std::size_t i = order.size(); i > 1; --i)
-    std::swap(order[i - 1], order[rng.uniform_u64(i)]);
-  EXPECT_EQ(graph_digest(chunked_configuration_model(params, order)),
-            reference);
 }
 
 // The compact slot-addressed build must equal the reference edge-list path:
@@ -173,9 +177,12 @@ TEST(BigtopoConfigModel, MatchesEdgeListPairingReference) {
 
 // Golden digest: the full CSR of a fixed (n, d, seed) is pinned. Any change
 // to the PRP, the chunk grid, or the pairing rule shows up here.
+constexpr ChunkedParams kConfigGolden{.n = 4096, .d = 6, .seed = 0xb16};
+constexpr std::uint64_t kConfigGoldenDigest = 0x98a5bd1ec21e18c5ULL;
+
 TEST(BigtopoConfigModel, GoldenDigest) {
-  const Graph g = chunked_configuration_model({.n = 4096, .d = 6, .seed = 0xb16});
-  EXPECT_EQ(graph_digest(g), 0x98a5bd1ec21e18c5ULL);
+  const Graph g = chunked_configuration_model(kConfigGolden);
+  EXPECT_EQ(graph_digest(g), kConfigGoldenDigest);
 }
 
 TEST(BigtopoConfigModel, RejectsInvalidParameters) {
@@ -187,17 +194,6 @@ TEST(BigtopoConfigModel, RejectsInvalidParameters) {
                std::logic_error);
   // n*d odd: no perfect matching on the stubs.
   EXPECT_THROW((void)chunked_configuration_model({.n = 15, .d = 3, .seed = 1}),
-               std::logic_error);
-  // Bad execution orders.
-  const ChunkedParams params{.n = 3 * kChunkNodes, .d = 2, .seed = 1};
-  const std::vector<NodeId> short_order = {0, 1};
-  EXPECT_THROW((void)chunked_configuration_model(params, short_order),
-               std::logic_error);
-  const std::vector<NodeId> dup_order = {0, 1, 1};
-  EXPECT_THROW((void)chunked_configuration_model(params, dup_order),
-               std::logic_error);
-  const std::vector<NodeId> oob_order = {0, 1, 3};
-  EXPECT_THROW((void)chunked_configuration_model(params, oob_order),
                std::logic_error);
 }
 
@@ -243,9 +239,12 @@ TEST(BigtopoRandomOut, MatchesChunkStreamReference) {
             graph_digest(reference));
 }
 
+constexpr ChunkedParams kOutGolden{.n = 4096, .d = 5, .seed = 0xb17};
+constexpr std::uint64_t kOutGoldenDigest = 0x6d50e6b9b2497932ULL;
+
 TEST(BigtopoRandomOut, GoldenDigest) {
-  const Graph g = chunked_random_out({.n = 4096, .d = 5, .seed = 0xb17});
-  EXPECT_EQ(graph_digest(g), 0x6d50e6b9b2497932ULL);
+  const Graph g = chunked_random_out(kOutGolden);
+  EXPECT_EQ(graph_digest(g), kOutGoldenDigest);
 }
 
 TEST(BigtopoRandomOut, RejectsInvalidParameters) {
@@ -255,6 +254,100 @@ TEST(BigtopoRandomOut, RejectsInvalidParameters) {
                std::logic_error);
   EXPECT_THROW((void)chunked_random_out({.n = 16, .d = 0, .seed = 1}),
                std::logic_error);
+}
+
+// ---------------------------------------------------------------------------
+// Thread axis: the worker count is scheduling, never semantics
+// ---------------------------------------------------------------------------
+
+/// `params` at `threads` workers.
+ChunkedParams at_threads(ChunkedParams params, int threads) {
+  params.threads = threads;
+  return params;
+}
+
+// The golden graphs fit in one fill block and one chunk, so the axis also
+// runs on graphs of several fill blocks, sort blocks and chunks. Their
+// digests were captured from the sequential per-stub fill
+// (inverse(forward(s) ^ 1)) that the position walk replaced.
+constexpr ChunkedParams kConfigBlocks{.n = 3 * kChunkNodes + 7, .d = 6,
+                                      .seed = 0xb16};
+constexpr std::uint64_t kConfigBlocksDigest = 0xf756d67d5ac65512ULL;
+constexpr ChunkedParams kOutChunks{.n = 3 * kChunkNodes + 7, .d = 3,
+                                   .seed = 0xb17};
+constexpr std::uint64_t kOutChunksDigest = 0x9bc5cf59db9a06f9ULL;
+
+TEST(BigtopoThreads, ConfigModelGoldenForEveryThreadCount) {
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(graph_digest(chunked_configuration_model(
+                  at_threads(kConfigGolden, threads))),
+              kConfigGoldenDigest);
+    EXPECT_EQ(graph_digest(chunked_configuration_model(
+                  at_threads(kConfigBlocks, threads))),
+              kConfigBlocksDigest);
+  }
+}
+
+TEST(BigtopoThreads, RandomOutGoldenForEveryThreadCountAndOrder) {
+  std::vector<NodeId> reversed(num_canonical_chunks(kOutChunks.n));
+  std::iota(reversed.begin(), reversed.end(), NodeId{0});
+  std::reverse(reversed.begin(), reversed.end());
+  // A deterministic shuffle (Rng, not std::shuffle — platform-pinned).
+  std::vector<NodeId> shuffled = reversed;
+  Rng rng(42);
+  for (std::size_t i = shuffled.size(); i > 1; --i)
+    std::swap(shuffled[i - 1], shuffled[rng.uniform_u64(i)]);
+
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(graph_digest(chunked_random_out(at_threads(kOutGolden, threads))),
+              kOutGoldenDigest);
+    const ChunkedParams params = at_threads(kOutChunks, threads);
+    EXPECT_EQ(graph_digest(chunked_random_out(params)), kOutChunksDigest);
+    EXPECT_EQ(graph_digest(chunked_random_out(params, reversed)),
+              kOutChunksDigest);
+    EXPECT_EQ(graph_digest(chunked_random_out(params, shuffled)),
+              kOutChunksDigest);
+  }
+}
+
+TEST(BigtopoThreads, RejectsNegativeThreads) {
+  EXPECT_THROW((void)chunked_configuration_model(at_threads(kConfigGolden, -1)),
+               std::logic_error);
+  EXPECT_THROW((void)chunked_random_out(at_threads(kOutGolden, -1)),
+               std::logic_error);
+}
+
+// A generator called from a parallel trial must not start a pool of its
+// own: for_each_trial inside a pool worker runs inline on that worker, so
+// four workers each generating with threads = 4 still run at most four
+// bodies at a time.
+TEST(BigtopoThreads, NestedPoolRunsInlineOnItsWorker) {
+  std::atomic<int> active{0};
+  std::atomic<int> peak{0};
+  std::atomic<int> inner_calls{0};
+  const ParallelRunner outer(RunnerConfig{.threads = 4});
+  outer.for_each_trial(8, [&](int) {
+    const ParallelRunner inner(RunnerConfig{.threads = 4});
+    EXPECT_EQ(inner.workers_for(16), 1);
+    inner.for_each_trial(16, [&](int) {
+      const int now = active.fetch_add(1) + 1;
+      int seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      active.fetch_sub(1);
+      inner_calls.fetch_add(1);
+    });
+    // The generators take the same path: a nested call is byte-identical.
+    EXPECT_EQ(graph_digest(chunked_configuration_model(
+                  at_threads(kConfigGolden, 4))),
+              kConfigGoldenDigest);
+  });
+  EXPECT_EQ(inner_calls.load(), 8 * 16);
+  EXPECT_LE(peak.load(), 4);
+  EXPECT_GE(peak.load(), 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 /// (seed, trials) produces byte-identical results for every thread count,
 /// across the paper's schemes.
 
-#include "rrb/sim/runner.hpp"
+#include "rrb/parallel/runner.hpp"
 
 #include <gtest/gtest.h>
 

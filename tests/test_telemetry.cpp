@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -148,6 +150,30 @@ TEST(TelemetryApi, EventsJsonlRoundTrip) {
     out << "{\"ph\":\"X\",\"cat\":\"engine\",\"na";
   }
   EXPECT_EQ(telemetry::load_events_jsonl(path).size(), before);
+}
+
+// An integer outside int64_t must reject its line, not wrap (signed
+// overflow is undefined behaviour): the oversized "ts" line is skipped and
+// the well-formed lines around it still load.
+TEST(TelemetryApi, EventsJsonlSkipsOverflowingIntegers) {
+  const std::string path = temp_path("overflow.jsonl");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "{\"ph\":\"i\",\"cat\":\"c\",\"name\":\"before\",\"ts\":5}\n"
+        << "{\"ph\":\"i\",\"cat\":\"c\",\"name\":\"huge\","
+           "\"ts\":99999999999999999999999}\n"
+        << "{\"ph\":\"i\",\"cat\":\"c\",\"name\":\"low\","
+           "\"ts\":-99999999999999999999999}\n"
+        << "{\"ph\":\"i\",\"cat\":\"c\",\"name\":\"after\","
+           "\"ts\":-9223372036854775808}\n";
+  }
+  const std::vector<telemetry::Event> loaded =
+      telemetry::load_events_jsonl(path);
+  ASSERT_EQ(loaded.size(), 2U);
+  EXPECT_EQ(loaded[0].name, "before");
+  EXPECT_EQ(loaded[0].ts_us, 5);
+  EXPECT_EQ(loaded[1].name, "after");
+  EXPECT_EQ(loaded[1].ts_us, std::numeric_limits<std::int64_t>::min());
 }
 
 TEST(TelemetryApi, ChromeTraceShape) {

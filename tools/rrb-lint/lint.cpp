@@ -233,8 +233,8 @@ std::string module_of(std::string_view path) {
 /// observer pipeline. graph/analysis/p2p are reachable only through these.
 bool record_path_module(const std::string& module) {
   static const std::set<std::string> kModules = {
-      "core", "phonecall", "protocols", "rng",     "sim",
-      "metrics", "exp",    "bigtopo"};
+      "core",    "phonecall", "protocols", "rng",     "sim",
+      "metrics", "exp",       "bigtopo",   "parallel"};
   return kModules.count(module) != 0;
 }
 
@@ -249,18 +249,20 @@ const std::map<std::string, std::vector<std::string>>& module_deps() {
       {"rng", {"common"}},
       {"analysis", {"common"}},
       {"telemetry", {"common"}},
+      {"parallel", {"common", "telemetry"}},
       {"graph", {"common", "rng"}},
-      {"bigtopo", {"common", "graph", "rng", "telemetry"}},
+      {"bigtopo", {"common", "graph", "parallel", "rng", "telemetry"}},
       {"phonecall", {"common", "graph", "rng", "telemetry"}},
       {"protocols", {"common", "phonecall"}},
       {"metrics", {"analysis", "common", "graph", "phonecall"}},
       {"core", {"common", "graph", "metrics", "phonecall", "protocols", "rng"}},
       {"p2p", {"common", "graph", "protocols", "rng"}},
       {"sim",
-       {"common", "core", "graph", "metrics", "phonecall", "rng", "telemetry"}},
+       {"common", "core", "graph", "metrics", "parallel", "phonecall", "rng",
+        "telemetry"}},
       {"exp",
-       {"bigtopo", "common", "core", "graph", "metrics", "p2p", "phonecall",
-        "protocols", "rng", "sim", "telemetry"}},
+       {"bigtopo", "common", "core", "graph", "metrics", "p2p", "parallel",
+        "phonecall", "protocols", "rng", "sim", "telemetry"}},
   };
   return kDeps;
 }
