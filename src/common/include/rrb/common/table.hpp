@@ -42,9 +42,6 @@ class Table {
   /// Render as an aligned plain-text table.
   [[nodiscard]] std::string to_string() const;
 
-  /// Render as CSV (header row + data rows).
-  [[nodiscard]] std::string to_csv() const;
-
   /// Convenience: stream the plain-text rendering.
   friend std::ostream& operator<<(std::ostream& os, const Table& t);
 

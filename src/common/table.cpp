@@ -59,29 +59,6 @@ std::string Table::to_string() const {
   return os.str();
 }
 
-std::string Table::to_csv() const {
-  auto escape = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string out = "\"";
-    for (char ch : s) {
-      if (ch == '"') out += '"';
-      out += ch;
-    }
-    out += '"';
-    return out;
-  };
-  std::ostringstream os;
-  for (std::size_t c = 0; c < headers_.size(); ++c)
-    os << (c ? "," : "") << escape(headers_[c]);
-  os << '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c)
-      os << (c ? "," : "") << escape(row[c]);
-    os << '\n';
-  }
-  return os.str();
-}
-
 std::ostream& operator<<(std::ostream& os, const Table& t) {
   return os << t.to_string();
 }

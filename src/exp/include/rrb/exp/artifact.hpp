@@ -8,26 +8,19 @@
 #include <utility>
 #include <vector>
 
+#include "rrb/common/json.hpp"
+
 /// \file artifact.hpp
-/// Machine-readable experiment artifacts: the one JSON/CSV serialisation
-/// layer shared by the bench harness (BENCH_*.json trajectory files), the
+/// Machine-readable experiment artifacts: the JSON records and CSV tables
+/// shared by the bench harness (BENCH_*.json trajectory files), the
 /// campaign subsystem (manifest/results streams) and simulate_cli --json.
+/// Escaping, the double format and parsing are rrb/common/json.hpp's, the
+/// one JSON codec of the library; this layer fixes the record layouts.
 /// Everything here is deterministic — a record's bytes are a pure function
 /// of the values put into it — because campaign resume and the
 /// thread-count-independence guarantee both diff these files byte-for-byte.
 
 namespace rrb::exp {
-
-/// Escape `text` for use inside a JSON string literal (RFC 8259): quote,
-/// backslash and all control characters below 0x20; other bytes (including
-/// UTF-8 multibyte sequences) pass through unchanged.
-[[nodiscard]] std::string json_escape(std::string_view text);
-
-/// Deterministic decimal rendering of a double: 17 significant digits
-/// (enough to round-trip exactly), no locale dependence. Non-finite values
-/// render as "null" — JSON has no inf/nan literals, and a null field is
-/// more honest in a data file than a quietly invalid token.
-[[nodiscard]] std::string format_double(double value);
 
 /// One flat JSON object: an ordered list of string/number/bool fields.
 /// Field order is insertion order and is part of the serialised bytes.
@@ -44,20 +37,20 @@ class JsonObject {
   JsonObject& set(const std::string& key, const std::string& value) {
     // Built append-style: GCC 12 at -O3 flags the operator+ chain with a
     // false-positive -Wrestrict.
-    const std::string escaped = json_escape(value);
-    std::string json;
-    json.reserve(escaped.size() + 2);
-    json += '"';
-    json += escaped;
-    json += '"';
-    fields_.push_back({key, std::move(json), value});
+    const std::string escaped = json::escape(value);
+    std::string quoted;
+    quoted.reserve(escaped.size() + 2);
+    quoted += '"';
+    quoted += escaped;
+    quoted += '"';
+    fields_.push_back({key, std::move(quoted), value});
     return *this;
   }
   JsonObject& set(const std::string& key, const char* value) {
     return set(key, std::string(value));
   }
   JsonObject& set(const std::string& key, double value) {
-    std::string text = format_double(value);
+    std::string text = json::format_double(value);
     fields_.push_back({key, text, std::move(text)});
     return *this;
   }
@@ -119,7 +112,7 @@ class JsonObject {
 [[nodiscard]] std::optional<JsonObject> parse_flat_json(std::string_view text);
 
 /// Escape a CSV cell per RFC 4180: wrap in quotes (doubling embedded
-/// quotes) when the value contains a comma, quote, or newline.
+/// quotes) when the value contains a comma, quote, CR or LF.
 [[nodiscard]] std::string csv_escape(std::string_view text);
 
 /// CSV emission with a fixed column set: one header plus one row per

@@ -171,7 +171,8 @@ struct CampaignCell {
 /// `;memory=<m>` when it overrides the memory window — optional
 /// parts only appear when non-default, so existing keys (and their seeds)
 /// never move when the spec grammar grows.
-/// Doubles render via format_double, so the key is platform-independent.
+/// Doubles render via json::format_double, so the key is
+/// platform-independent.
 /// Golden-pinned in tests/test_campaign.cpp.
 [[nodiscard]] std::string cell_key(const CampaignCell& cell,
                                    const CampaignSpec& spec);

@@ -7,7 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "rrb/exp/artifact.hpp"
+#include "rrb/common/json.hpp"
 #include "rrb/rng/rng.hpp"
 
 namespace rrb::exp {
@@ -70,7 +70,8 @@ constexpr std::array<GraphFamily, 7> kAllFamilies = {
 
 [[nodiscard]] double parse_double(std::string_view text) {
   text = trim(text);
-  // std::from_chars: locale-independent, matching format_double's output.
+  // std::from_chars: locale-independent, matching json::format_double's
+  // output.
   double value = 0.0;
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
@@ -107,7 +108,7 @@ void append_axis_u32(std::string& out, const std::vector<NodeId>& values) {
 void append_axis_double(std::string& out, const std::vector<double>& values) {
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i != 0) out += ", ";
-    out += format_double(values[i]);
+    out += json::format_double(values[i]);
   }
 }
 
@@ -143,13 +144,13 @@ std::string cell_key(const CampaignCell& cell, const CampaignSpec& spec) {
   key += graph_family_name(cell.graph);
   key += ";n=" + std::to_string(cell.n);
   key += ";d=" + std::to_string(cell.d);
-  key += ";alpha=" + format_double(cell.alpha);
-  key += ";failure=" + format_double(cell.failure);
-  key += ";churn=" + format_double(cell.churn);
+  key += ";alpha=" + json::format_double(cell.alpha);
+  key += ";failure=" + json::format_double(cell.failure);
+  key += ";churn=" + json::format_double(cell.churn);
   if (cell.overlay) {
     key += ";overlay=1";
     key += ";switches=" + std::to_string(spec.churn_switches);
-    key += ";headroom=" + format_double(spec.churn_headroom);
+    key += ";headroom=" + json::format_double(spec.churn_headroom);
   }
   if (cell.choices > 0) key += ";choices=" + std::to_string(cell.choices);
   if (cell.memory >= 0) key += ";memory=" + std::to_string(cell.memory);
@@ -383,7 +384,8 @@ std::string describe(const CampaignSpec& spec) {
   out += std::string("\noverlay = ") + (spec.overlay ? "true" : "false") +
          "\n";
   out += "churn_switches = " + std::to_string(spec.churn_switches) + "\n";
-  out += "churn_headroom = " + format_double(spec.churn_headroom) + "\n";
+  out += "churn_headroom = " + json::format_double(spec.churn_headroom) +
+         "\n";
   // Like metrics below: the choices axis is emitted only when it deviates
   // from the canonical {0}, so pre-existing specs keep their describe()
   // bytes and therefore their fingerprints.

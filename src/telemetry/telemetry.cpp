@@ -1,19 +1,18 @@
 #include "rrb/telemetry/telemetry.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
-#include <sstream>
-#include <system_error>
 #include <utility>
+
+#include "rrb/common/json.hpp"
 
 namespace rrb::telemetry {
 
@@ -67,38 +66,16 @@ void push_event(Event event) {
   buffer.events.push_back(std::move(event));
 }
 
-void append_json_string(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof hex, "\\u%04x", c);
-          out += hex;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 /// One event as a self-contained JSON object (shared by the jsonl shuttle
 /// format and the Chrome trace exporter).
 std::string event_json(const Event& event) {
   std::string out = "{\"ph\":\"";
   out += event.phase;
-  out += "\",\"cat\":";
-  append_json_string(out, event.category);
-  out += ",\"name\":";
-  append_json_string(out, event.name);
-  out += ",\"ts\":" + std::to_string(event.ts_us);
+  out += "\",\"cat\":\"";
+  out += json::escape(event.category);
+  out += "\",\"name\":\"";
+  out += json::escape(event.name);
+  out += "\",\"ts\":" + std::to_string(event.ts_us);
   if (event.phase == 'X') out += ",\"dur\":" + std::to_string(event.dur_us);
   out += ",\"pid\":" + std::to_string(event.pid);
   out += ",\"tid\":" + std::to_string(event.tid);
@@ -108,146 +85,44 @@ std::string event_json(const Event& event) {
   return out;
 }
 
-// ---- minimal JSON reader for the events jsonl shuttle format ----
-//
-// exp has a flat-JSON parser, but telemetry may depend on common only (the
-// layering DAG makes exp a *consumer* of telemetry), so the shuttle format
-// gets its own reader. It accepts exactly what event_json emits: one object
-// per line, string/integer values, plus one raw nested object under "args".
-
-struct Cursor {
-  std::string_view text;
-  std::size_t i = 0;
-
-  bool done() const { return i >= text.size(); }
-  char peek() const { return text[i]; }
-  void skip_ws() {
-    while (!done() && std::isspace(static_cast<unsigned char>(text[i]))) ++i;
-  }
-  bool eat(char c) {
-    skip_ws();
-    if (done() || text[i] != c) return false;
-    ++i;
-    return true;
-  }
-};
-
-bool parse_json_string(Cursor& c, std::string& out) {
-  if (!c.eat('"')) return false;
-  out.clear();
-  while (!c.done()) {
-    const char ch = c.text[c.i++];
-    if (ch == '"') return true;
-    if (ch != '\\') {
-      out += ch;
-      continue;
-    }
-    if (c.done()) return false;
-    const char esc = c.text[c.i++];
-    switch (esc) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case '/': out += '/'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        if (c.i + 4 > c.text.size()) return false;
-        unsigned value = 0;
-        for (int k = 0; k < 4; ++k) {
-          const char h = c.text[c.i++];
-          value <<= 4;
-          if (h >= '0' && h <= '9') value |= static_cast<unsigned>(h - '0');
-          else if (h >= 'a' && h <= 'f')
-            value |= static_cast<unsigned>(h - 'a' + 10);
-          else if (h >= 'A' && h <= 'F')
-            value |= static_cast<unsigned>(h - 'A' + 10);
-          else
-            return false;
-        }
-        // We only ever emit \u00XX control escapes; anything wider is kept
-        // as a replacement byte rather than rejected.
-        out += value < 0x80 ? static_cast<char>(value) : '?';
-        break;
-      }
-      default: return false;
-    }
-  }
-  return false;
-}
-
-/// A JSON integer (optional '-', digits). A value outside int64_t fails
-/// the parse, and so rejects the line, instead of wrapping.
-bool parse_json_int(Cursor& c, std::int64_t& out) {
-  c.skip_ws();
-  const char* first = c.text.data() + c.i;
-  const char* last = c.text.data() + c.text.size();
-  const auto [end, ec] = std::from_chars(first, last, out);
-  if (ec != std::errc{}) return false;
-  c.i += static_cast<std::size_t>(end - first);
-  return true;
-}
-
-/// Capture a balanced JSON object verbatim (string-aware), for "args".
-bool parse_raw_object(Cursor& c, std::string& out) {
-  c.skip_ws();
-  if (c.done() || c.peek() != '{') return false;
-  const std::size_t start = c.i;
-  int depth = 0;
-  bool in_string = false;
-  while (!c.done()) {
-    const char ch = c.text[c.i++];
-    if (in_string) {
-      if (ch == '\\' && !c.done()) ++c.i;
-      else if (ch == '"')
-        in_string = false;
-      continue;
-    }
-    if (ch == '"') in_string = true;
-    else if (ch == '{')
-      ++depth;
-    else if (ch == '}' && --depth == 0) {
-      out.assign(c.text.substr(start, c.i - start));
-      return true;
-    }
-  }
-  return false;
-}
-
+/// One line of the events shuttle: the layout event_json writes, read
+/// through the common JSON scanner. Strings under "ph"/"cat"/"name"/"s", a
+/// nested object under "args"; every other field must be an int64_t, and
+/// "pid"/"tid" must fit int32_t — a value out of range rejects the line
+/// instead of wrapping.
 bool parse_event_line(std::string_view line, Event& event) {
-  Cursor c{line};
-  if (!c.eat('{')) return false;
+  std::optional<std::vector<json::Field>> fields =
+      json::scan_flat_object(line);
+  if (!fields || fields->empty()) return false;
   event = Event{};
-  event.tid = 0;
-  bool first = true;
-  while (true) {
-    if (c.eat('}')) return !first;
-    if (!first && !c.eat(',')) return false;
-    first = false;
-    std::string key;
-    if (!parse_json_string(c, key) || !c.eat(':')) return false;
+  for (json::Field& field : *fields) {
+    const std::string& key = field.key;
     if (key == "args") {
-      if (!parse_raw_object(c, event.args_json)) return false;
+      if (field.kind != json::Kind::kObject) return false;
+      event.args_json = std::move(field.token);
     } else if (key == "ph" || key == "cat" || key == "name" || key == "s") {
-      std::string value;
-      if (!parse_json_string(c, value)) return false;
-      if (key == "ph") event.phase = value.empty() ? 'X' : value[0];
+      if (field.kind != json::Kind::kString) return false;
+      if (key == "ph") event.phase = field.text.empty() ? 'X' : field.text[0];
       else if (key == "cat")
-        event.category = std::move(value);
+        event.category = std::move(field.text);
       else if (key == "name")
-        event.name = std::move(value);
+        event.name = std::move(field.text);
     } else {
-      std::int64_t value = 0;
-      if (!parse_json_int(c, value)) return false;
-      if (key == "ts") event.ts_us = value;
+      const std::optional<std::int64_t> value = field.to_int64();
+      if (!value) return false;
+      if (key == "ts") event.ts_us = *value;
       else if (key == "dur")
-        event.dur_us = value;
-      else if (key == "pid")
-        event.pid = static_cast<std::int32_t>(value);
-      else if (key == "tid")
-        event.tid = static_cast<std::int32_t>(value);
+        event.dur_us = *value;
+      else if (key == "pid" || key == "tid") {
+        if (*value < std::numeric_limits<std::int32_t>::min() ||
+            *value > std::numeric_limits<std::int32_t>::max())
+          return false;
+        (key == "pid" ? event.pid : event.tid) =
+            static_cast<std::int32_t>(*value);
+      }
     }
   }
+  return true;
 }
 
 std::uint64_t status_kb(const char* field) {
@@ -334,10 +209,7 @@ void set_process_label(std::string label) {
   event.ts_us = now_us();
   event.pid = g_pid.load(std::memory_order_relaxed);
   event.tid = -1;
-  std::string args = "{\"name\":";
-  append_json_string(args, label);
-  args += '}';
-  event.args_json = std::move(args);
+  event.args_json = "{\"name\":\"" + json::escape(label) + "\"}";
   push_event(std::move(event));
 }
 

@@ -13,29 +13,31 @@ namespace {
 // ---- JSON escaping ---------------------------------------------------------
 
 TEST(Artifact, JsonEscapePassesPlainTextThrough) {
-  EXPECT_EQ(json_escape("hello world"), "hello world");
-  EXPECT_EQ(json_escape(""), "");
-  EXPECT_EQ(json_escape("UTF-8 § passthrough"), "UTF-8 § passthrough");
+  EXPECT_EQ(json::escape("hello world"), "hello world");
+  EXPECT_EQ(json::escape(""), "");
+  EXPECT_EQ(json::escape("UTF-8 § passthrough"), "UTF-8 § passthrough");
 }
 
 TEST(Artifact, JsonEscapeHandlesQuotesBackslashesAndControls) {
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb\tc\rd"), "a\\nb\\tc\\rd");
-  EXPECT_EQ(json_escape("a\bb\fc"), "a\\bb\\fc");
-  EXPECT_EQ(json_escape(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
+  EXPECT_EQ(json::escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json::escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json::escape("a\nb\tc\rd"), "a\\nb\\tc\\rd");
+  EXPECT_EQ(json::escape("a\bb\fc"), "a\\bb\\fc");
+  EXPECT_EQ(json::escape(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
 }
 
 TEST(Artifact, FormatDoubleIsRoundTripExactAndCompact) {
-  EXPECT_EQ(format_double(1.5), "1.5");
-  EXPECT_EQ(format_double(0.0), "0");
-  EXPECT_EQ(format_double(-2.0), "-2");
+  EXPECT_EQ(json::format_double(1.5), "1.5");
+  EXPECT_EQ(json::format_double(0.0), "0");
+  EXPECT_EQ(json::format_double(-2.0), "-2");
   // 17 significant digits round-trip any double exactly.
   const double value = 0.1;
-  EXPECT_EQ(std::strtod(format_double(value).c_str(), nullptr), value);
+  EXPECT_EQ(std::strtod(json::format_double(value).c_str(), nullptr), value);
   // Non-finite values have no JSON literal.
-  EXPECT_EQ(format_double(std::numeric_limits<double>::infinity()), "null");
-  EXPECT_EQ(format_double(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(json::format_double(std::numeric_limits<double>::infinity()),
+            "null");
+  EXPECT_EQ(json::format_double(std::numeric_limits<double>::quiet_NaN()),
+            "null");
 }
 
 // ---- JsonObject ------------------------------------------------------------
@@ -100,6 +102,24 @@ TEST(Artifact, ParseFlatJsonRejectsMalformedInput) {
   EXPECT_FALSE(parse_flat_json("{\"a\": }").has_value());
   EXPECT_FALSE(parse_flat_json("{\"a\": 1} trailing").has_value());
   EXPECT_FALSE(parse_flat_json("{\"a\": bogus}").has_value());
+  // Numbers follow RFC 8259's grammar: no nan/inf spellings, no bare or
+  // trailing decimal point, no leading zero, no sign or exponent without
+  // digits; literals are spelt in full.
+  for (const char* token :
+       {"nan", "inf", "-infinity", "1.", "01", ".5", "-", "1e", "tru"}) {
+    EXPECT_FALSE(
+        parse_flat_json(std::string("{\"a\": ") + token + "}").has_value())
+        << token;
+  }
+  EXPECT_FALSE(parse_flat_json("{\"a\": 1,}").has_value());
+  // Only JSON whitespace: no \v or \f around the object.
+  EXPECT_FALSE(parse_flat_json("{\"a\": 1}\v").has_value());
+  EXPECT_FALSE(parse_flat_json("\f{\"a\": 1}").has_value());
+  // Strings hold no raw control byte, no unknown escape and no \u escape
+  // outside ASCII (the escaper never writes one).
+  EXPECT_FALSE(parse_flat_json("{\"a\": \"x\ty\"}").has_value());
+  EXPECT_FALSE(parse_flat_json("{\"a\": \"\\x\"}").has_value());
+  EXPECT_FALSE(parse_flat_json("{\"a\": \"\\u00e9\"}").has_value());
   // Nested containers are not flat.
   EXPECT_FALSE(parse_flat_json("{\"a\": {\"b\": 1}}").has_value());
   EXPECT_FALSE(parse_flat_json("{\"a\": [1, 2]}").has_value());
@@ -118,6 +138,7 @@ TEST(Artifact, CsvEscapeQuotesOnlyWhenNeeded) {
   EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
   EXPECT_EQ(csv_escape("a\"b"), "\"a\"\"b\"");
   EXPECT_EQ(csv_escape("a\nb"), "\"a\nb\"");
+  EXPECT_EQ(csv_escape("a\rb"), "\"a\rb\"");
 }
 
 TEST(Artifact, CsvWriterEmitsHeaderAndAlignedRows) {

@@ -41,21 +41,6 @@ TEST(Table, TitleAppearsInOutput) {
   EXPECT_NE(t.to_string().find("My Experiment"), std::string::npos);
 }
 
-TEST(Table, CsvHasHeaderAndRows) {
-  Table t({"x", "y"});
-  t.begin_row();
-  t.add(1);
-  t.add(2);
-  EXPECT_EQ(t.to_csv(), "x,y\n1,2\n");
-}
-
-TEST(Table, CsvEscapesCommasAndQuotes) {
-  Table t({"v"});
-  t.begin_row();
-  t.add(std::string("a,b\"c"));
-  EXPECT_EQ(t.to_csv(), "v\n\"a,b\"\"c\"\n");
-}
-
 TEST(Table, NumRowsCountsRows) {
   Table t({"a"});
   EXPECT_EQ(t.num_rows(), 0U);
@@ -88,7 +73,6 @@ TEST(Table, ShortRowsRenderWithoutCrashing) {
   t.begin_row();
   t.add("only-one");
   EXPECT_NO_THROW((void)t.to_string());
-  EXPECT_NO_THROW((void)t.to_csv());
 }
 
 }  // namespace

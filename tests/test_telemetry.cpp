@@ -150,11 +150,22 @@ TEST(TelemetryApi, EventsJsonlRoundTrip) {
     out << "{\"ph\":\"X\",\"cat\":\"engine\",\"na";
   }
   EXPECT_EQ(telemetry::load_events_jsonl(path).size(), before);
+
+  // So is a complete object followed by anything but whitespace.
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "{\"ph\":\"i\",\"cat\":\"c\",\"name\":\"kept\",\"ts\":1} \n"
+        << "{\"ph\":\"i\",\"cat\":\"c\",\"name\":\"tail\",\"ts\":1} garbage\n";
+  }
+  const std::vector<telemetry::Event> tailed =
+      telemetry::load_events_jsonl(path);
+  ASSERT_EQ(tailed.size(), 1U);
+  EXPECT_EQ(tailed[0].name, "kept");
 }
 
-// An integer outside int64_t must reject its line, not wrap (signed
-// overflow is undefined behaviour): the oversized "ts" line is skipped and
-// the well-formed lines around it still load.
+// An integer outside int64_t (or a pid/tid outside int32_t) must reject its
+// line, not wrap (signed overflow is undefined behaviour): the oversized
+// lines are skipped and the well-formed lines around them still load.
 TEST(TelemetryApi, EventsJsonlSkipsOverflowingIntegers) {
   const std::string path = temp_path("overflow.jsonl");
   {
@@ -164,6 +175,11 @@ TEST(TelemetryApi, EventsJsonlSkipsOverflowingIntegers) {
            "\"ts\":99999999999999999999999}\n"
         << "{\"ph\":\"i\",\"cat\":\"c\",\"name\":\"low\","
            "\"ts\":-99999999999999999999999}\n"
+        // pid/tid are int32_t: a value past it rejects the line too.
+        << "{\"ph\":\"i\",\"cat\":\"c\",\"name\":\"pid\","
+           "\"ts\":1,\"pid\":4294967297}\n"
+        << "{\"ph\":\"i\",\"cat\":\"c\",\"name\":\"tid\","
+           "\"ts\":1,\"tid\":-2147483649}\n"
         << "{\"ph\":\"i\",\"cat\":\"c\",\"name\":\"after\","
            "\"ts\":-9223372036854775808}\n";
   }
