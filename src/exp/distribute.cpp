@@ -346,6 +346,28 @@ DistributeReport distribute_campaign(const CampaignSpec& spec,
   const int budget =
       config.respawn_budget >= 0 ? config.respawn_budget : 2 * workers;
 
+  // ---- Supervision state (pure side channel: progress line, straggler
+  // flags, ETA — none of it can reach an artifact). Heartbeats report each
+  // worker's own-journal size; claims make journals disjoint, so total
+  // progress is the manifest baseline plus each worker's increment over its
+  // journal's size before any worker starts (the merge above already
+  // counted those cells; a respawn's journal carries over, so the baseline
+  // survives worker lives).
+  struct WorkerWatch {
+    std::size_t base_cells = 0;   ///< own-journal size before spawning
+    std::size_t cells = 0;        ///< latest own-journal size
+    std::int64_t last_ts_us = 0;  ///< latest heartbeat timestamp
+    bool flagged = false;         ///< straggler warning issued this life
+  };
+  std::map<int, WorkerWatch> watch;
+  for (int id = 0; id < workers; ++id) {
+    WorkerWatch& w = watch[id];
+    w.base_cells =
+        load_journal(worker_journal_path(config.out_dir, id), fingerprint)
+            .records.size();
+    w.cells = w.base_cells;
+  }
+
   std::map<pid_t, int> alive;  // pid -> worker id
   {
     const telemetry::Span spawn_span("distribute", "spawn_workers");
@@ -358,20 +380,6 @@ DistributeReport distribute_campaign(const CampaignSpec& spec,
     }
   }
 
-  // ---- Supervision state (pure side channel: progress line, straggler
-  // flags, ETA — none of it can reach an artifact). Heartbeats report each
-  // worker's own-journal size; claims make journals disjoint, so total
-  // progress is the manifest baseline plus each worker's increment over the
-  // first value it ever reported (a respawn's journal carries over, so the
-  // baseline survives worker lives).
-  struct WorkerWatch {
-    bool seen = false;
-    std::size_t first_cells = 0;  ///< baseline at first heartbeat
-    std::size_t cells = 0;        ///< latest own-journal size
-    std::int64_t last_ts_us = 0;  ///< latest heartbeat timestamp
-    bool flagged = false;         ///< straggler warning issued this life
-  };
-  std::map<int, WorkerWatch> watch;
   const std::int64_t supervise_start_us = telemetry::now_us();
   std::int64_t last_print_us = supervise_start_us;
   std::size_t last_done = static_cast<std::size_t>(-1);
@@ -391,10 +399,6 @@ DistributeReport distribute_campaign(const CampaignSpec& spec,
       if (!read_heartbeat(worker_heartbeat_path(config.out_dir, id), hb_cells,
                           hb_ts))
         continue;
-      if (!w.seen) {
-        w.seen = true;
-        w.first_cells = hb_cells;
-      }
       if (hb_cells > w.cells) w.flagged = false;  // progressed: new grace
       w.cells = std::max(w.cells, hb_cells);
       w.last_ts_us = std::max(w.last_ts_us, hb_ts);
@@ -412,8 +416,7 @@ DistributeReport distribute_campaign(const CampaignSpec& spec,
         telemetry::instant("distribute", "straggler w" + std::to_string(id));
       }
     }
-    for (const auto& [id, w] : watch)
-      if (w.seen) increments += w.cells - w.first_cells;
+    for (const auto& [id, w] : watch) increments += w.cells - w.base_cells;
 
     const std::size_t done =
         std::min(cells.size(), done_at_start + increments);

@@ -103,6 +103,11 @@ class ChannelSampler {
     }
 
     if (config_.memory == 0 || d <= take) {
+      // One channel: sample_distinct_small's single draw, without the call.
+      if (take == 1) {
+        out[0] = static_cast<NodeId>(rng.uniform_u64(d));
+        return 1;
+      }
       return rng.sample_distinct_small(d, take, out);
     }
 

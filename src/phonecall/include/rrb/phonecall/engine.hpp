@@ -50,6 +50,15 @@
 /// library's output contract (ROADMAP.md "seeding contract";
 /// tests/test_golden_results.cpp pins it). Any engine change must preserve
 /// the draw order exactly or every recorded experiment changes.
+///
+/// Draws are pinned, lookups are not. In a round where no node pulls, a
+/// caller that does not push can carry nothing over its channels, so when
+/// there is also no memory ring (which records partners), no failure model
+/// (which reads them) and no dead slot (whose callers count a stale
+/// channel), such a caller makes its channel choice and failure draws and
+/// counts them, but never reads its partner or the partner's state. Every
+/// draw, delivery and counter is unchanged (tests/test_lean_rounds.cpp);
+/// push rounds touch only the pushers' partners.
 
 namespace rrb {
 
@@ -244,8 +253,8 @@ RunResult PhoneCallEngine<TopologyT>::run(ProtocolT& protocol,
   // touch no engine state, so draws and outputs are bit-identical with
   // recording on or off (pinned by tests/test_telemetry.cpp).
   telemetry::Span run_span("engine", "run");
-  if (run_span.active())
-    run_span.set_args("{\"n\":" + std::to_string(n) + "}");
+  const bool tracing = run_span.active();
+  Round lean_rounds = 0;  // rounds that took the silent-caller rule
 
   informed_at_.assign(n, kNever);
   action_.assign(n, Action::kNone);
@@ -293,6 +302,7 @@ RunResult PhoneCallEngine<TopologyT>::run(ProtocolT& protocol,
     round.t = t;
 
     // Phase A: compute actions for nodes informed before this round.
+    Count pullers = 0;
     for (NodeId v = 0; v < n; ++v) {
       if (!topo_->is_alive(v) || informed_at_[v] == kNever) {
         action_[v] = Action::kNone;
@@ -303,15 +313,28 @@ RunResult PhoneCallEngine<TopologyT>::run(ProtocolT& protocol,
       state.is_source = informed_at_[v] == 0;
       action_[v] = protocol.action(v, state, t);
       if (action_[v] != Action::kNone) ++round.transmitting_nodes;
+      if (does_pull(action_[v])) ++pullers;
     }
 
     // Phase B: every alive node opens channels; transmissions happen on
     // the channel according to the caller's push action and the callee's
-    // pull action.
+    // pull action. In a lean round (no puller, nothing that reads a
+    // partner, every callee alive) only pushers look their partners up.
+    const bool lean = pullers == 0 && !has_memory && !has_failure_model &&
+                      topo_->num_alive() == n;
+    if (tracing && lean) ++lean_rounds;
     newly_.clear();
     for (NodeId v = 0; v < n; ++v) {
       if (!topo_->is_alive(v)) continue;
       const std::size_t k = sampler_.choose(*topo_, *rng_, v, edge_choice);
+      const bool push_here = does_push(action_[v]);
+      if (lean && !push_here) {
+        round.channels_opened += k;
+        if (has_failure_prob)
+          for (std::size_t i = 0; i < k; ++i)
+            if (rng_->bernoulli(config_.failure_prob)) ++round.channels_failed;
+        continue;
+      }
       for (std::size_t i = 0; i < k; ++i) {
         const NodeId edge_idx = edge_choice[i];
         const NodeId w = neighbor_of(v, edge_idx);
@@ -334,8 +357,7 @@ RunResult PhoneCallEngine<TopologyT>::run(ProtocolT& protocol,
           ++round.channels_failed;  // stale link during churn
           continue;
         }
-        const bool push_here = does_push(action_[v]);
-        const bool pull_here = does_pull(action_[w]);
+        const bool pull_here = !lean && does_pull(action_[w]);
         if (!push_here && !pull_here) continue;
 
         auto deliver = [&](NodeId to, NodeId from, bool is_push) {
@@ -421,6 +443,10 @@ RunResult PhoneCallEngine<TopologyT>::run(ProtocolT& protocol,
   }
 
   result.rounds = t;
+  if (tracing)
+    run_span.set_args("{\"n\":" + std::to_string(n) +
+                      ",\"rounds\":" + std::to_string(t) +
+                      ",\"lean_rounds\":" + std::to_string(lean_rounds) + "}");
   result.alive_at_end = topo_->num_alive();
   Count final_informed = 0;
   for (NodeId v = 0; v < n; ++v)

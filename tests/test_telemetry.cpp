@@ -230,6 +230,33 @@ TEST(TelemetryApi, ChromeTraceShape) {
   EXPECT_NE(trace.find("\"name\":\"late\",\"ts\":500,"), std::string::npos);
 }
 
+TEST(TelemetryApi, EngineRunSpanCountsLeanRounds) {
+  // The engine's run span says how many rounds took the silent-caller rule
+  // (no puller: only pushers look their partners up). Push never pulls, so
+  // every round is lean; pull pulls from round 1, so none is.
+  TelemetryGuard guard;
+  Rng grng(0x7e1e05);
+  const Graph g = random_regular_simple(128, 6, grng);
+  for (const BroadcastScheme scheme :
+       {BroadcastScheme::kPush, BroadcastScheme::kPull}) {
+    SCOPED_TRACE(scheme_name(scheme));
+    BroadcastOptions opt;
+    opt.scheme = scheme;
+    opt.seed = 0x7e1e06;
+    telemetry::enable();
+    const RunResult r = broadcast(g, 0, opt);
+    telemetry::enable(false);
+    const std::vector<telemetry::Event> events = telemetry::drain();
+    const telemetry::Event* run = find_event(events, 'X', "run");
+    ASSERT_NE(run, nullptr);
+    const Round lean = scheme == BroadcastScheme::kPush ? r.rounds : 0;
+    EXPECT_EQ(run->args_json, "{\"n\":128,\"rounds\":" +
+                                  std::to_string(r.rounds) +
+                                  ",\"lean_rounds\":" +
+                                  std::to_string(lean) + "}");
+  }
+}
+
 // ---- Bit-identity: telemetry never perturbs deterministic outputs ----------
 
 /// All eight schemes over one small regular graph; cell records digest the
